@@ -5,10 +5,8 @@
 //! count-keyed memo).
 //!
 //! Each function runs both sides of one comparison on identical
-//! seeded input and returns the wall-clock timings; the
-//! `event_queue_perf`, `multiplexer_perf` and `admission_perf` bins
-//! print one comparison each, and `bench_smoke` folds all three into
-//! `BENCH_experiments.json`. The *outputs* of the timed kernels are
+//! seeded input and returns the wall-clock timings; `bench_smoke`
+//! prints all three and folds them into `BENCH_experiments.json`. The *outputs* of the timed kernels are
 //! deterministic — only the seconds vary run to run.
 
 use std::time::Instant;

@@ -5,7 +5,9 @@
 //! the *user's* stochastic behaviour, not a fixed offered rate. The
 //! static [`ClusterSim`] fixes its shard count and balancer at
 //! construction; [`AdaptiveSim`] closes three loops around the same
-//! dispatch/execution machinery:
+//! dispatch/execution machinery. Dispatch is the static cluster's own
+//! [`FleetEndpoint`] loop with a control hook installed, which holds
+//! the autoscaler, the bandit and their trace. The three loops:
 //!
 //! 1. **Autoscaling** — every `control_period_slots` the controller
 //!    samples the mean predicted M/M/1/K occupancy of the routable
@@ -15,7 +17,7 @@
 //!    `warmup_slots`, and its server-side warm-up gate rejects
 //!    anything that slips through — yet it counts against the
 //!    shard-hour bill from the moment it is provisioned. Scale-in
-//!    drains through the *existing* E13 crash-harvest machinery: the
+//!    drains through the endpoint's E13 crash-harvest function: the
 //!    shard is marked down, its in-flight sessions are re-offered to
 //!    the survivors with their remaining duration (counted
 //!    `rerouted`), and the execution phase crashes the shard's active
@@ -40,18 +42,18 @@
 //!
 //! With the autoscaler pinned (`min_shards == max_shards`), the arm
 //! fixed, and no PI block, the adaptive fleet *is* the static cluster
-//! bit for bit (`tests/differential_adaptive.rs`): the control loop
-//! still samples occupancy, but sampling is pure modulo memo fills
-//! that are bit-identical to the direct evaluation.
+//! bit for bit (`tests/differential_adaptive.rs`): both run the same
+//! endpoint code, and the installed hook still samples occupancy and
+//! counts rewards, but those reads are pure modulo memo fills that
+//! are bit-identical to the direct evaluation.
 
-use dms_serve::{
-    RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, SessionRequest, Workload,
-};
-use dms_sim::{EventQueue, FaultPlan, FaultSpec, MetricsRegistry, SimTime};
+use dms_serve::{RecoveryConfig, ServeError, ServeMetricsSink, ServerConfig, Workload};
+use dms_sim::{FaultPlan, FaultSpec, MetricsRegistry};
 use serde::{Deserialize, Serialize};
 
-use crate::balancer::{Balancer, BalancerPolicy, Route, ShardState};
+use crate::balancer::{Balancer, BalancerPolicy, ShardState};
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim, DispatchReport, ShardFault};
+use crate::endpoint::FleetEndpoint;
 
 /// `ln 2` in Q16 — the quantum of the integer `ln` approximation.
 const LN2_Q16: i64 = 45_426;
@@ -340,159 +342,119 @@ impl AdaptiveReport {
     }
 }
 
-/// One offer in the adaptive dispatch stream (the static endpoint's
-/// `Offer`, duplicated because that one is module-private).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Offer {
-    slot: u64,
-    seq: u64,
-    id: u64,
-    duration_slots: u64,
-    attempt: u32,
-}
-
-/// The sequential adaptive dispatch pass: the static endpoint's merge
-/// discipline plus a control step at every period boundary.
-struct AdaptiveDispatcher {
-    slots: u64,
-    full_bits: u64,
-    recovery: RecoveryConfig,
+/// The adaptive fleet's control hook on [`FleetEndpoint`]: the
+/// autoscaler, the bandit and their trace. The endpoint calls it at
+/// every control boundary its offer stream passes and on every routed
+/// offer; everything else — the merge loop, routing, retries and the
+/// drain victims' re-offers — is the static endpoint's own code.
+#[derive(Debug)]
+pub(crate) struct ControlLoop {
     autoscale: AutoscaleConfig,
-    states: Vec<ShardState>,
-    balancers: Vec<Balancer>,
-    policies: Vec<BalancerPolicy>,
-    active_arm: usize,
+    /// The balancer arms, indexed like the endpoint's balancers.
+    arms: Vec<BalancerPolicy>,
+    /// UCB exploration scale; `None` keeps arm 0 for the whole run.
     ucb: Option<i64>,
     pulls: [u64; 3],
     rewards_q16: [i64; 3],
     window_offered: u64,
     window_good: u64,
     next_boundary: u64,
-    provisioned_at: Vec<Option<u64>>,
-    drained_at: Vec<Option<u64>>,
-    scale_events: Vec<ScaleEvent>,
-    windows: Vec<ControlWindow>,
-    dynamic: EventQueue<Offer>,
-    next_seq: u64,
-    sessions: Vec<Vec<SessionRequest>>,
-    in_flight: Vec<Vec<(u64, u64, u64)>>,
-    report: DispatchReport,
+    /// Scale events, windows and provisioning intervals; the shard
+    /// bill is filled in by [`ControlLoop::into_control`].
+    trace: AdaptiveControl,
 }
 
-impl AdaptiveDispatcher {
-    fn new(
-        config: &AdaptiveConfig,
-        full_bits: u64,
-        slots: u64,
-        hint: usize,
-    ) -> Result<Self, ServeError> {
+impl ControlLoop {
+    pub(crate) fn new(config: &AdaptiveConfig) -> Self {
         let auto = config.autoscale;
         let n = auto.max_shards;
-        let mut states = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut state = ShardState::new(config.shard.capacity, full_bits, None, hint)?;
-            if i >= auto.min_shards {
-                // Parked spare: never routable until activated.
-                state.set_up_from(Some(u64::MAX));
-            }
-            states.push(state);
-        }
-        let (policies, ucb): (Vec<BalancerPolicy>, Option<i64>) = match config.arms {
+        let (arms, ucb) = match config.arms {
             ArmSelection::Fixed(policy) => (vec![policy], None),
             ArmSelection::Ucb { exploration_q16 } => (ARMS.to_vec(), Some(exploration_q16)),
         };
-        let balancers = policies
-            .iter()
-            .map(|&p| Balancer::new(p, config.seed))
-            .collect();
-        Ok(AdaptiveDispatcher {
-            slots,
-            full_bits,
-            recovery: config.recovery,
+        ControlLoop {
             autoscale: auto,
-            states,
-            balancers,
-            policies,
-            active_arm: 0,
+            arms,
             ucb,
             pulls: [0; 3],
             rewards_q16: [0; 3],
             window_offered: 0,
             window_good: 0,
             next_boundary: auto.control_period_slots,
-            provisioned_at: (0..n).map(|i| (i < auto.min_shards).then_some(0)).collect(),
-            drained_at: vec![None; n],
-            scale_events: Vec::new(),
-            windows: Vec::new(),
-            dynamic: EventQueue::with_capacity(64),
-            next_seq: 0,
-            sessions: (0..n).map(|_| Vec::with_capacity(hint)).collect(),
-            in_flight: vec![Vec::new(); n],
-            report: DispatchReport {
-                shard_sessions: vec![0; n],
-                ..DispatchReport::default()
+            trace: AdaptiveControl {
+                scale_events: Vec::new(),
+                windows: Vec::new(),
+                shard_count: Vec::new(),
+                shard_slots: 0,
+                provisioned_at: (0..n).map(|i| (i < auto.min_shards).then_some(0)).collect(),
+                drained_at: vec![None; n],
             },
-        })
+        }
     }
 
-    /// The policy routing during the current window.
-    fn current_arm(&self) -> BalancerPolicy {
-        self.policies[self.active_arm]
+    /// Parks every shard past `min_shards` (never routable until
+    /// activated) and returns the endpoint's balancers, one per arm.
+    pub(crate) fn install(&self, states: &mut [ShardState], seed: u64) -> Vec<Balancer> {
+        for state in states.iter_mut().skip(self.autoscale.min_shards) {
+            state.set_up_from(Some(u64::MAX));
+        }
+        self.arms.iter().map(|&p| Balancer::new(p, seed)).collect()
+    }
+
+    /// Whether the current window routed anything.
+    pub(crate) fn window_open(&self) -> bool {
+        self.window_offered > 0
+    }
+
+    /// Counts one routed offer into the bandit window; `good` is the
+    /// receiving shard's mirror verdict (false for a refusal).
+    pub(crate) fn record_offer(&mut self, good: bool) {
+        self.window_offered += 1;
+        self.window_good += u64::from(good);
+    }
+
+    /// Returns (and moves past) the next control boundary if it falls
+    /// before the horizon and no offer earlier than it remains.
+    pub(crate) fn take_boundary(&mut self, next_slot: Option<u64>, horizon: u64) -> Option<u64> {
+        let b = self.next_boundary;
+        if b < horizon && next_slot.is_none_or(|s| s >= b) {
+            self.next_boundary = b + self.autoscale.control_period_slots;
+            Some(b)
+        } else {
+            None
+        }
     }
 
     /// Shards provisioned (warming or routable) and not drained.
     fn provisioned(&self) -> usize {
-        self.provisioned_at
+        self.trace
+            .provisioned_at
             .iter()
-            .zip(&self.drained_at)
+            .zip(&self.trace.drained_at)
             .filter(|(p, d)| p.is_some() && d.is_none())
             .count()
-    }
-
-    /// Processes control boundaries and dynamic offers that must
-    /// precede the next injected offer (`Some(slot)`) or the end of
-    /// the stream (`None`) — the static endpoint's merge discipline
-    /// with the boundary check spliced in front.
-    fn advance(&mut self, upcoming: Option<u64>) {
-        loop {
-            let next_slot = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => Some(u.min(t.ticks())),
-                (Some(u), None) => Some(u),
-                (None, Some(t)) => Some(t.ticks()),
-                (None, None) => None,
-            };
-            if self.next_boundary < self.slots && next_slot.is_none_or(|s| s >= self.next_boundary)
-            {
-                let b = self.next_boundary;
-                self.control_step(b, true);
-                self.next_boundary = b + self.autoscale.control_period_slots;
-                continue;
-            }
-            let due = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => t.ticks() < u,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if !due {
-                break;
-            }
-            let offer = self.dynamic.pop().expect("peeked non-empty").payload;
-            self.route_one(offer);
-        }
     }
 
     /// One control boundary: sample occupancy, scale (only while the
     /// stream is still open — the final partial window must not
     /// schedule re-offers nothing will route), close the bandit
-    /// window.
-    fn control_step(&mut self, b: u64, scale: bool) {
+    /// window and pick the arm for the next one. Returns the shard
+    /// drained at `b`, whose in-flight sessions the endpoint
+    /// re-offers.
+    pub(crate) fn close_window(
+        &mut self,
+        b: u64,
+        scale: bool,
+        states: &mut [ShardState],
+        active: &mut usize,
+    ) -> Option<usize> {
         // 1. Load signal: mean predicted occupancy over the shards the
         //    balancer can route to at `b`. `release_until` first, so
         //    the signal sees the same reservation ledger the next
         //    routing decision would (idempotent — routing re-releases).
         let mut occ_sum = 0.0f64;
         let mut routable = 0u64;
-        for state in &mut self.states {
+        for state in states.iter_mut() {
             if state.alive(b) {
                 state.release_until(b);
                 occ_sum += state.current_occupancy();
@@ -507,14 +469,18 @@ impl AdaptiveDispatcher {
 
         // 2. Autoscale: at most one provisioning step per boundary.
         //    Decisions count *provisioned* shards (warming included)
-        //    so a warming spare suppresses further scale-ups.
+        //    so a warming spare suppresses further scale-ups. Scale-in
+        //    drains the youngest shard: it stops taking traffic at
+        //    `b`, and the execution phase crashes its active set there.
+        let mut drained = None;
         if scale && self.autoscale.min_shards < self.autoscale.max_shards {
             let provisioned = self.provisioned();
+            let trace = &mut self.trace;
             if mean_occ > self.autoscale.scale_up_above && provisioned < self.autoscale.max_shards {
-                if let Some(i) = self.provisioned_at.iter().position(Option::is_none) {
-                    self.provisioned_at[i] = Some(b);
-                    self.states[i].set_up_from(Some(b + self.autoscale.warmup_slots));
-                    self.scale_events.push(ScaleEvent {
+                if let Some(i) = trace.provisioned_at.iter().position(Option::is_none) {
+                    trace.provisioned_at[i] = Some(b);
+                    states[i].set_up_from(Some(b + self.autoscale.warmup_slots));
+                    trace.scale_events.push(ScaleEvent {
                         slot: b,
                         shard: i,
                         up: true,
@@ -524,15 +490,19 @@ impl AdaptiveDispatcher {
             } else if mean_occ < self.autoscale.scale_in_below
                 && provisioned > self.autoscale.min_shards
             {
-                let victim = self
-                    .provisioned_at
-                    .iter()
-                    .enumerate()
+                drained = (0..trace.provisioned_at.len())
                     .rev()
-                    .find(|(i, p)| p.is_some() && self.drained_at[*i].is_none())
-                    .map(|(i, _)| i);
-                if let Some(i) = victim {
-                    self.drain_shard(i, b, mean_occ);
+                    .find(|&i| trace.provisioned_at[i].is_some() && trace.drained_at[i].is_none());
+                if let Some(i) = drained {
+                    trace.drained_at[i] = Some(b);
+                    states[i].set_down_from(Some(b));
+                    states[i].release_all();
+                    trace.scale_events.push(ScaleEvent {
+                        slot: b,
+                        shard: i,
+                        up: false,
+                        occupancy: mean_occ,
+                    });
                 }
             }
         }
@@ -544,9 +514,9 @@ impl AdaptiveDispatcher {
         } else {
             0
         };
-        self.windows.push(ControlWindow {
+        self.trace.windows.push(ControlWindow {
             end_slot: b,
-            arm: self.current_arm(),
+            arm: self.arms[*active],
             offered: self.window_offered,
             good: self.window_good,
             reward_q16,
@@ -557,102 +527,37 @@ impl AdaptiveDispatcher {
             // Empty windows teach nothing: keep the arm, skip the
             // pull so its mean is not diluted by idle periods.
             if self.window_offered > 0 {
-                self.pulls[self.active_arm] += 1;
-                self.rewards_q16[self.active_arm] += reward_q16;
-                self.active_arm = select_arm(&self.pulls, &self.rewards_q16, exploration_q16);
+                self.pulls[*active] += 1;
+                self.rewards_q16[*active] += reward_q16;
+                *active = select_arm(&self.pulls, &self.rewards_q16, exploration_q16);
             }
         }
         self.window_offered = 0;
         self.window_good = 0;
+        drained
     }
 
-    /// Drains shard `i` at boundary `b`: the scale-in leg of the
-    /// E13 crash-harvest machinery. The shard stops taking traffic at
-    /// `b`, its in-flight sessions re-offer to the survivors with
-    /// their remaining duration after the first backoff, and the
-    /// execution phase will crash its active set at `b`.
-    fn drain_shard(&mut self, i: usize, b: u64, mean_occ: f64) {
-        self.drained_at[i] = Some(b);
-        self.states[i].set_down_from(Some(b));
-        for &(arrival, depart, id) in &self.in_flight[i] {
-            // Same victim predicate as a crash harvest: arrived
-            // before the drain edge, with playout left past it.
-            if arrival < b && depart > b {
-                self.report.rerouted += 1;
-                let slot = b + self.recovery.backoff_slots(0);
-                self.dynamic.schedule(
-                    SimTime::from_ticks(slot),
-                    Offer {
-                        slot,
-                        seq: self.next_seq,
-                        id,
-                        duration_slots: depart - b,
-                        attempt: 1,
-                    },
-                );
-                self.next_seq += 1;
-            }
-        }
-        self.in_flight[i].clear();
-        self.states[i].release_all();
-        self.scale_events.push(ScaleEvent {
-            slot: b,
-            shard: i,
-            up: false,
-            occupancy: mean_occ,
-        });
-    }
-
-    /// Routes one offer — the static endpoint's loop body plus the
-    /// bandit's window accounting.
-    fn route_one(&mut self, offer: Offer) {
-        if offer.slot >= self.slots || offer.duration_slots == 0 {
-            self.report.balancer_rejected += 1;
-            return;
-        }
-        for state in &mut self.states {
-            state.release_until(offer.slot);
-        }
-        self.window_offered += 1;
-        match self.balancers[self.active_arm].route(&mut self.states, offer.slot, self.full_bits) {
-            Route::To(shard) => {
-                // Dispatch-time reward oracle: would the receiving
-                // shard's mirror have admitted this session? For
-                // jsq/p2c the route already implies yes; for the
-                // oblivious rr this is exactly where overload shows.
-                if self.states[shard].would_admit(self.full_bits) {
-                    self.window_good += 1;
-                }
-                let depart = offer.slot + offer.duration_slots;
-                self.states[shard].reserve(depart, self.full_bits);
-                self.sessions[shard].push(SessionRequest {
-                    id: offer.id,
-                    arrival_slot: offer.slot,
-                    duration_slots: offer.duration_slots,
-                });
-                self.report.shard_sessions[shard] += 1;
-                self.report.dispatched += 1;
-                self.in_flight[shard].push((offer.slot, depart, offer.id));
-            }
-            Route::Refused => {
-                if offer.attempt < self.recovery.max_retries {
-                    self.report.retries += 1;
-                    let slot = offer.slot + self.recovery.backoff_slots(offer.attempt);
-                    self.dynamic.schedule(
-                        SimTime::from_ticks(slot),
-                        Offer {
-                            slot,
-                            seq: self.next_seq,
-                            attempt: offer.attempt + 1,
-                            ..offer
-                        },
-                    );
-                    self.next_seq += 1;
-                } else {
-                    self.report.balancer_rejected += 1;
+    /// The control-plane trace with the shard-hour bill: each shard is
+    /// provisioned over one interval `[provisioned_at, drained_at |
+    /// horizon)`.
+    pub(crate) fn into_control(self, slots: u64) -> AdaptiveControl {
+        let mut trace = self.trace;
+        trace.shard_count = vec![0u64; slots as usize];
+        for (p, d) in trace.provisioned_at.iter().zip(&trace.drained_at) {
+            if let Some(a) = *p {
+                let end = d.unwrap_or(slots).min(slots);
+                trace.shard_slots += end.saturating_sub(a);
+                for c in trace
+                    .shard_count
+                    .iter_mut()
+                    .take(end as usize)
+                    .skip(a as usize)
+                {
+                    *c += 1;
                 }
             }
         }
+        trace
     }
 }
 
@@ -710,8 +615,9 @@ impl AdaptiveSim {
 
     /// The adaptive dispatch pass alone: per-shard workloads, the
     /// execution-phase fault plans (crash bursts at scale-in edges)
-    /// and the control trace. Sequential and simulation-free, like
-    /// [`ClusterSim::dispatch`].
+    /// and the control trace. Sequential and simulation-free: the
+    /// [`FleetEndpoint`] pass of [`ClusterSim::dispatch`] over all
+    /// `max_shards` shards, with the control hook installed.
     ///
     /// # Errors
     ///
@@ -728,58 +634,31 @@ impl AdaptiveSim {
         ),
         ServeError,
     > {
-        workload.template.validate()?;
-        let full_bits = workload.template.full_bits();
-        let hint = workload.sessions.len() / self.config.autoscale.max_shards + 1;
-        let mut d = AdaptiveDispatcher::new(&self.config, full_bits, workload.slots, hint)?;
-
+        let n = self.config.autoscale.max_shards;
+        let mut endpoint = FleetEndpoint::with_control(
+            &self.fleet_config(vec![self.config.shard; n]),
+            workload.template,
+            workload.slots,
+            workload.sessions.len() / n + 1,
+            ControlLoop::new(&self.config),
+        )?;
         let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
         order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
         for &i in &order {
             let s = workload.sessions[i];
-            d.advance(Some(s.arrival_slot));
-            d.report.offered += 1;
-            let offer = Offer {
-                slot: s.arrival_slot,
-                seq: d.next_seq,
-                id: s.id,
-                duration_slots: s.duration_slots,
-                attempt: 0,
-            };
-            d.next_seq += 1;
-            d.route_one(offer);
+            endpoint.offer(s.id, s.arrival_slot, s.duration_slots)?;
         }
-        d.advance(None);
-        // Close the final partial window so late-run routing is
-        // still accounted (and rewarded, in UCB mode).
-        if d.window_offered > 0 {
-            d.control_step(workload.slots, false);
-        }
-        debug_assert_eq!(
-            d.report.dispatched + d.report.balancer_rejected + d.report.drained,
-            d.report.offered + d.report.rerouted,
-            "adaptive dispatch conservation"
-        );
-
+        let (workloads, report, control) = endpoint.finish_with_control();
         let slots = workload.slots;
-        let n = self.config.autoscale.max_shards;
-        // Shard-hour bill: each shard is provisioned over one interval
-        // `[provisioned_at, drained_at | horizon)`.
-        let mut shard_count = vec![0u64; slots as usize];
-        let mut shard_slots = 0u64;
-        for i in 0..n {
-            if let Some(a) = d.provisioned_at[i] {
-                let end = d.drained_at[i].unwrap_or(slots).min(slots);
-                shard_slots += end.saturating_sub(a);
-                for c in shard_count.iter_mut().take(end as usize).skip(a as usize) {
-                    *c += 1;
-                }
-            }
-        }
-        let any_drain = d.drained_at.iter().any(Option::is_some);
-        let faults: Vec<ShardFault> = if any_drain {
-            (0..n)
-                .map(|i| match d.drained_at[i] {
+        let control = control
+            .expect("with_control installs the hook")
+            .into_control(slots);
+
+        let faults: Vec<ShardFault> = if control.drained_at.iter().any(Option::is_some) {
+            control
+                .drained_at
+                .iter()
+                .map(|drained| match *drained {
                     Some(at) => Ok(ShardFault {
                         plan: FaultPlan::compile(
                             &[FaultSpec::CrashBurst {
@@ -798,25 +677,23 @@ impl AdaptiveSim {
         } else {
             Vec::new()
         };
-        let template = workload.template;
-        let workloads: Vec<Workload> = d
-            .sessions
-            .into_iter()
-            .map(|s| Workload {
-                sessions: s,
-                template,
-                slots,
-            })
-            .collect();
-        let control = AdaptiveControl {
-            scale_events: d.scale_events,
-            windows: d.windows,
-            shard_count,
-            shard_slots,
-            provisioned_at: d.provisioned_at,
-            drained_at: d.drained_at,
-        };
-        Ok((workloads, faults, d.report, control))
+        Ok((workloads, faults, report, control))
+    }
+
+    /// The static cluster configuration over `shards`. Its balancer is
+    /// the fixed arm (the static cluster's own, in the differential
+    /// case) or, under UCB, the first arm; the execution phase never
+    /// re-routes, so it only seeds the dispatch hook's arm 0.
+    fn fleet_config(&self, shards: Vec<ServerConfig>) -> ClusterConfig {
+        ClusterConfig {
+            shards,
+            balancer: match self.config.arms {
+                ArmSelection::Fixed(policy) => policy,
+                ArmSelection::Ucb { .. } => ARMS[0],
+            },
+            recovery: self.config.recovery,
+            seed: self.config.seed,
+        }
     }
 
     /// Runs the full adaptive pipeline: closed-loop dispatch, then the
@@ -848,18 +725,7 @@ impl AdaptiveSim {
                 cfg
             })
             .collect();
-        let cluster = ClusterSim::new(ClusterConfig {
-            shards,
-            // The execution phase never re-routes; any policy works.
-            // Use a fixed arm (or the pinned arm) so the config is
-            // exactly the static cluster's in the differential case.
-            balancer: match self.config.arms {
-                ArmSelection::Fixed(policy) => policy,
-                ArmSelection::Ucb { .. } => BalancerPolicy::RoundRobin,
-            },
-            recovery: self.config.recovery,
-            seed: self.config.seed,
-        })?;
+        let cluster = ClusterSim::new(self.fleet_config(shards))?;
         let report = cluster.run_dispatched(workloads, dispatch, &faults, sinks)?;
         Ok(AdaptiveReport {
             cluster: report,
@@ -871,6 +737,55 @@ impl AdaptiveSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dms_serve::{
+        rate_for_load, AdmissionPolicy, ArrivalProcess, CapacityModel, SessionTemplate,
+    };
+
+    /// The hook's reward count through the endpoint: jsq and p2c only
+    /// route where the receiving mirror admits, so every dispatch is
+    /// a good one, and every routed offer, dispatched or refused,
+    /// lands in exactly one window.
+    #[test]
+    fn smart_arms_reward_every_dispatch() {
+        let mut template = SessionTemplate::streaming_default().expect("preset valid");
+        template.mean_duration_slots = 40.0;
+        let rate = rate_for_load(1.4, &template, 120 * template.full_bits());
+        let wl = Workload::generate(ArrivalProcess::Poisson { rate }, template, 200, 5)
+            .expect("valid workload");
+        for policy in [
+            BalancerPolicy::JoinShortestQueue,
+            BalancerPolicy::PowerOfTwoChoices,
+        ] {
+            let sim = AdaptiveSim::new(AdaptiveConfig {
+                shard: ServerConfig {
+                    capacity: CapacityModel {
+                        link_bits_per_slot: 30 * template.full_bits(),
+                        queue_frames: 64,
+                        occupancy_bound: 8.0,
+                    },
+                    policy: AdmissionPolicy::AdmitAll,
+                    degrade: None,
+                    buffer_slots: 4,
+                    miss_slots: 2,
+                },
+                autoscale: AutoscaleConfig::default(),
+                arms: ArmSelection::Fixed(policy),
+                recovery: RecoveryConfig::default(),
+                seed: 3,
+            })
+            .expect("valid");
+            let (_, _, report, control) = sim.dispatch(&wl).expect("dispatch runs");
+            let good: u64 = control.windows.iter().map(|w| w.good).sum();
+            let offered: u64 = control.windows.iter().map(|w| w.offered).sum();
+            assert_eq!(good, report.dispatched, "{policy:?}");
+            assert!(report.retries > 0, "{policy:?}: a 1.4x load refuses");
+            assert!(offered >= report.dispatched + report.retries, "{policy:?}");
+            assert!(
+                offered <= report.dispatched + report.retries + report.balancer_rejected,
+                "{policy:?}"
+            );
+        }
+    }
 
     #[test]
     fn autoscale_validation() {

@@ -53,7 +53,8 @@ impl BalancerPolicy {
 }
 
 /// The balancer's view of one shard: the mirror admission predictor
-/// plus the reserved-capacity ledger it feeds.
+/// plus the reserved-capacity ledger it feeds. The tier origin keeps
+/// its uplink ledger on the same type.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardState {
     /// Mirror M/M/1/K predictor over this shard's capacity model. The
@@ -169,6 +170,11 @@ impl ShardState {
         self.departures.push(std::cmp::Reverse((depart_slot, bits)));
     }
 
+    /// Aggregate demand reserved right now, bits per slot.
+    pub(crate) fn reserved_bits(&self) -> u64 {
+        self.reserved_bits
+    }
+
     /// Reserved fraction of shard capacity (the JSQ metric).
     fn reserved_fraction(&self) -> f64 {
         self.reserved_bits as f64 / self.capacity_bits as f64
@@ -189,9 +195,9 @@ impl ShardState {
 
     /// Mirror admission predicate for `bits` more demand; memoised
     /// like [`ShardState::occupancy_with`]. Also the bandit's
-    /// dispatch-time "good routing" oracle (`pub(crate)` for
-    /// `adaptive`); pure modulo memo fills, which are bit-identical
-    /// to the direct evaluation.
+    /// dispatch-time "good routing" oracle and the tier origin's
+    /// admission test; pure modulo memo fills, which are
+    /// bit-identical to the direct evaluation.
     pub(crate) fn would_admit(&mut self, bits: u64) -> bool {
         let frame = self.mirror.frame_bits();
         if bits == frame && self.reserved_bits.is_multiple_of(frame) {

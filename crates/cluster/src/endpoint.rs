@@ -1,19 +1,28 @@
-//! The incremental fleet endpoint: the cluster-side offer-source seam.
+//! The incremental fleet endpoint: the cluster's one dispatch loop.
 //!
 //! [`FleetEndpoint`] is the dispatch pass of
 //! [`ClusterSim`](crate::ClusterSim) turned inside out: instead of
 //! consuming a complete [`Workload`] in one sequential sweep, it
 //! accepts offers one at a time in non-decreasing slot order —
 //! `dms-net`'s socket driver feeds it frames, the batch
-//! [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) feeds it a
-//! sorted workload — and both produce bit-identical routing because
+//! [`ClusterSim::dispatch`](crate::ClusterSim::dispatch) and
+//! [`AdaptiveSim::dispatch`](crate::AdaptiveSim::dispatch) feed it a
+//! sorted workload — and all of them produce the same routing because
 //! they *are* the same code path. Retries and crash re-offers flow
-//! through the same timing wheel and the same
-//! `(slot, arrival-order)` merge discipline as the original batch
-//! pass: a dynamic offer strictly earlier than the next injected offer
-//! routes first; ties go to the injected offer (its sequence number is
-//! always smaller in spirit — initial offers precede dynamic ones at
-//! equal slots).
+//! through one timing wheel under a `(slot, arrival-order)` merge
+//! discipline: the wheel drains same-slot offers in push order, a
+//! dynamic offer strictly earlier than the next injected offer routes
+//! first, and ties go to the injected offer (initial offers precede
+//! dynamic ones at equal slots).
+//!
+//! The adaptive fleet (E17) is this endpoint plus a crate-private
+//! control hook. The hook runs at every control boundary the offer
+//! stream passes (occupancy sample, scale-up or drain, bandit window
+//! close and arm switch) and counts the bandit's reward on every
+//! routed offer. A drained shard's victims re-offer through the same
+//! function as a crashed shard's. Without a hook — [`ClusterSim`],
+//! the tier fleets, `dms-net` — the endpoint routes with its one
+//! balancer and keeps the in-flight ledger only for shards that die.
 //!
 //! A graceful [`FleetEndpoint::shutdown`] drops the retries still in
 //! backoff (counted as `drained`) and releases every reserved
@@ -21,20 +30,20 @@
 //! in-flight reservations — nothing leaks, and the conservation ledger
 //! `dispatched + balancer_rejected + drained == offered + rerouted`
 //! stays exact.
+//!
+//! [`ClusterSim`]: crate::ClusterSim
 
 use dms_serve::{RecoveryConfig, ServeError, SessionRequest, SessionTemplate, Workload};
 use dms_sim::{EventQueue, SimTime};
 
+use crate::adaptive::ControlLoop;
 use crate::balancer::{Balancer, Route, ShardState};
 use crate::cluster::{ClusterConfig, DispatchReport, ShardFault};
 
-/// One offer in the dispatch stream, processed in `(slot, seq)` order.
-/// `seq` is unique metadata (the wheel's FIFO-within-slot drain already
-/// yields push order); it survives for debuggability.
+/// One offer in the dispatch stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Offer {
     slot: u64,
-    seq: u64,
     id: u64,
     duration_slots: u64,
     attempt: u32,
@@ -79,19 +88,26 @@ pub struct FleetEndpoint {
     template: SessionTemplate,
     recovery: RecoveryConfig,
     states: Vec<ShardState>,
-    balancer: Balancer,
+    /// One balancer per policy the fleet may route with; only a
+    /// control hook ever holds more than one.
+    balancers: Vec<Balancer>,
+    /// Index of the balancer routing now.
+    active: usize,
     /// Shard deaths in slot order; each harvested for re-offers exactly
     /// once, when the offer stream passes its slot.
     deaths: Vec<(u64, usize)>,
     next_death: usize,
     /// Dynamic offers (retries, crash re-offers) keyed by retry slot.
     dynamic: EventQueue<Offer>,
-    next_seq: u64,
     sessions: Vec<Vec<SessionRequest>>,
+    /// Per shard: `(arrival, depart, id)` of the sessions routed there,
+    /// kept only where a crash or a drain may need to re-offer them.
     in_flight: Vec<Vec<(u64, u64, u64)>>,
     report: DispatchReport,
     last_offer_slot: u64,
     outcomes: Option<Vec<OfferOutcome>>,
+    /// The closed-loop control hook; `None` for a static fleet.
+    control: Option<ControlLoop>,
     done: bool,
 }
 
@@ -157,11 +173,11 @@ impl FleetEndpoint {
             template,
             recovery: config.recovery,
             states,
-            balancer: Balancer::new(config.balancer, config.seed),
+            balancers: vec![Balancer::new(config.balancer, config.seed)],
+            active: 0,
             deaths,
             next_death: 0,
             dynamic: EventQueue::with_capacity(64),
-            next_seq: 0,
             sessions: (0..shard_count)
                 .map(|_| Vec::with_capacity(per_shard_hint))
                 .collect(),
@@ -172,8 +188,25 @@ impl FleetEndpoint {
             },
             last_offer_slot: 0,
             outcomes: None,
+            control: None,
             done: false,
         })
+    }
+
+    /// Builds a fault-free endpoint steered by `control`: the hook
+    /// parks its spare shards and supplies the balancer arms, all
+    /// seeded with `config.seed`.
+    pub(crate) fn with_control(
+        config: &ClusterConfig,
+        template: SessionTemplate,
+        slots: u64,
+        per_shard_hint: usize,
+        control: ControlLoop,
+    ) -> Result<Self, ServeError> {
+        let mut endpoint = Self::with_faults(config, template, slots, &[], per_shard_hint)?;
+        endpoint.balancers = control.install(&mut endpoint.states, config.seed);
+        endpoint.control = Some(control);
+        Ok(endpoint)
     }
 
     /// The simulation horizon in slots.
@@ -227,25 +260,26 @@ impl FleetEndpoint {
         self.last_offer_slot = slot;
         self.advance(Some(slot));
         self.report.offered += 1;
-        let offer = Offer {
+        self.route_one(Offer {
             slot,
-            seq: self.next_seq,
             id,
             duration_slots,
             attempt: 0,
-        };
-        self.next_seq += 1;
-        self.route_one(offer);
+        });
         Ok(())
     }
 
     /// Runs the stream to completion — remaining deaths harvested,
-    /// remaining retries resolved — leaving only the
+    /// remaining retries resolved, a control hook's final partial
+    /// window closed at the horizon — leaving only the
     /// [`FleetEndpoint::finish`] conversion. Split from `finish` so a
     /// caller recording outcomes can still
     /// [`FleetEndpoint::take_outcomes`] the end-of-stream resolutions.
     pub fn drain_pending(&mut self) {
         self.advance(None);
+        if self.control.as_ref().is_some_and(ControlLoop::window_open) {
+            self.control_step(self.slots, false);
+        }
         self.done = true;
     }
 
@@ -255,11 +289,31 @@ impl FleetEndpoint {
     /// Implies [`FleetEndpoint::drain_pending`] unless a shutdown
     /// already ended the stream.
     #[must_use]
-    pub fn finish(mut self) -> (Vec<Workload>, DispatchReport) {
+    pub fn finish(self) -> (Vec<Workload>, DispatchReport) {
+        let (workloads, report, _) = self.finish_with_control();
+        (workloads, report)
+    }
+
+    /// [`FleetEndpoint::finish`] that also hands back the control hook
+    /// (and with it the control-plane trace).
+    pub(crate) fn finish_with_control(
+        mut self,
+    ) -> (Vec<Workload>, DispatchReport, Option<ControlLoop>) {
         if !self.done {
-            self.advance(None);
+            self.drain_pending();
         }
-        self.into_workloads()
+        let template = self.template;
+        let slots = self.slots;
+        let workloads = self
+            .sessions
+            .into_iter()
+            .map(|s| Workload {
+                sessions: s,
+                template,
+                slots,
+            })
+            .collect();
+        (workloads, self.report, self.control)
     }
 
     /// Gracefully shuts the endpoint down at `slot`: dynamic offers
@@ -310,47 +364,31 @@ impl FleetEndpoint {
         );
     }
 
-    fn into_workloads(self) -> (Vec<Workload>, DispatchReport) {
-        let template = self.template;
-        let slots = self.slots;
-        let workloads = self
-            .sessions
-            .into_iter()
-            .map(|s| Workload {
-                sessions: s,
-                template,
-                slots,
-            })
-            .collect();
-        (workloads, self.report)
-    }
-
-    /// Processes deaths and dynamic offers that must precede the next
-    /// injected offer (`upcoming = Some(slot)`) or the end of the
-    /// stream (`None`). The merge discipline is the batch pass's:
-    /// a death is harvested once no offer before its slot remains, a
-    /// dynamic offer routes only while strictly earlier than the next
-    /// injected one.
+    /// Processes deaths, control boundaries and dynamic offers that
+    /// must precede the next injected offer (`upcoming = Some(slot)`)
+    /// or the end of the stream (`None`). The merge discipline is the
+    /// batch pass's: a death is harvested and a control boundary
+    /// closed once no offer before its slot remains, a dynamic offer
+    /// routes only while strictly earlier than the next injected one.
     fn advance(&mut self, upcoming: Option<u64>) {
         loop {
-            let next_slot = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => Some(u.min(t.ticks())),
-                (Some(u), None) => Some(u),
-                (None, Some(t)) => Some(t.ticks()),
-                (None, None) => None,
-            };
+            let dynamic_slot = self.dynamic.peek_time().map(SimTime::ticks);
+            let next_slot = upcoming.into_iter().chain(dynamic_slot).min();
             if let Some(&(death_slot, _)) = self.deaths.get(self.next_death) {
                 if next_slot.is_none_or(|s| s >= death_slot) {
                     self.harvest_death();
                     continue;
                 }
             }
-            let due = match (upcoming, self.dynamic.peek_time()) {
-                (Some(u), Some(t)) => t.ticks() < u,
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if !due {
+            if let Some(b) = self
+                .control
+                .as_mut()
+                .and_then(|c| c.take_boundary(next_slot, self.slots))
+            {
+                self.control_step(b, true);
+                continue;
+            }
+            if dynamic_slot.is_none_or(|t| upcoming.is_some_and(|u| t >= u)) {
                 break;
             }
             let offer = self.dynamic.pop().expect("peeked non-empty").payload;
@@ -358,36 +396,50 @@ impl FleetEndpoint {
         }
     }
 
-    /// Harvests the next shard death: the sessions then in flight on
-    /// the dead shard are re-offered to the survivors after the first
-    /// backoff delay — the cross-shard leg of the retry path.
+    /// Harvests the next shard death.
     fn harvest_death(&mut self) {
         let (death_slot, shard) = self.deaths[self.next_death];
         self.next_death += 1;
+        self.reoffer_victims(shard, death_slot);
+    }
+
+    /// Runs the control hook's boundary step at `b`, re-offering the
+    /// victims of a shard it drains.
+    fn control_step(&mut self, b: u64, scale: bool) {
+        let Some(control) = self.control.as_mut() else {
+            return;
+        };
+        if let Some(drained) = control.close_window(b, scale, &mut self.states, &mut self.active) {
+            self.reoffer_victims(drained, b);
+        }
+    }
+
+    /// Re-offers the sessions in flight on `shard` across `edge` (its
+    /// crash or drain slot) to the survivors after the first backoff
+    /// delay, with their remaining playout — the cross-shard leg of
+    /// the retry path. A victim is active at the edge like in the
+    /// in-shard crash burst: arrived before it, with playout left
+    /// past it.
+    fn reoffer_victims(&mut self, shard: usize, edge: u64) {
+        let slot = edge + self.recovery.backoff_slots(0);
         for &(arrival, depart, id) in &self.in_flight[shard] {
-            // Active at the crash edge, like the in-shard crash burst:
-            // arrived before the death slot, departing at or after it,
-            // with playout left.
-            if arrival < death_slot && depart > death_slot {
+            if arrival < edge && depart > edge {
                 self.report.rerouted += 1;
-                let slot = death_slot + self.recovery.backoff_slots(0);
                 self.dynamic.schedule(
                     SimTime::from_ticks(slot),
                     Offer {
                         slot,
-                        seq: self.next_seq,
                         id,
-                        duration_slots: depart - death_slot,
+                        duration_slots: depart - edge,
                         attempt: 1,
                     },
                 );
-                self.next_seq += 1;
             }
         }
         self.in_flight[shard].clear();
     }
 
-    /// Routes one offer — the batch pass's loop body, verbatim.
+    /// Routes one offer — the batch pass's loop body.
     fn route_one(&mut self, offer: Offer) {
         if offer.slot >= self.slots || offer.duration_slots == 0 {
             // Backed off past the end of the run (or nothing left to
@@ -401,12 +453,21 @@ impl FleetEndpoint {
         for state in &mut self.states {
             state.release_until(offer.slot);
         }
-        match self
-            .balancer
-            .route(&mut self.states, offer.slot, self.full_bits)
-        {
+        let route = self.balancers[self.active].route(&mut self.states, offer.slot, self.full_bits);
+        if let Some(control) = self.control.as_mut() {
+            // Dispatch-time reward oracle: would the receiving shard's
+            // mirror have admitted this session? For jsq/p2c the route
+            // already implies yes; for the oblivious rr this is
+            // exactly where overload shows.
+            let good =
+                matches!(route, Route::To(shard) if self.states[shard].would_admit(self.full_bits));
+            control.record_offer(good);
+        }
+        match route {
             Route::To(shard) => {
-                let depart = offer.slot + offer.duration_slots;
+                // Saturating: a wire-supplied duration must not wrap
+                // into a departure in the past.
+                let depart = offer.slot.saturating_add(offer.duration_slots);
                 self.states[shard].reserve(depart, self.full_bits);
                 self.sessions[shard].push(SessionRequest {
                     id: offer.id,
@@ -415,7 +476,7 @@ impl FleetEndpoint {
                 });
                 self.report.shard_sessions[shard] += 1;
                 self.report.dispatched += 1;
-                if self.states[shard].dies() {
+                if self.control.is_some() || self.states[shard].dies() {
                     self.in_flight[shard].push((offer.slot, depart, offer.id));
                 }
                 self.push_outcome(&offer, FleetVerdict::Dispatched { shard });
@@ -428,12 +489,10 @@ impl FleetEndpoint {
                         SimTime::from_ticks(slot),
                         Offer {
                             slot,
-                            seq: self.next_seq,
                             attempt: offer.attempt + 1,
                             ..offer
                         },
                     );
-                    self.next_seq += 1;
                     self.push_outcome(&offer, FleetVerdict::Retrying { next_slot: slot });
                 } else {
                     self.report.balancer_rejected += 1;
@@ -591,6 +650,42 @@ mod tests {
             report.offered + report.rerouted,
             "shutdown conservation ledger"
         );
+    }
+
+    /// A wire-supplied `duration_slots` of `u64::MAX` must neither
+    /// overflow nor wrap into a departure in the past: the session
+    /// holds its reservation, is re-offered when its shard crashes,
+    /// and the ledger closes.
+    #[test]
+    fn huge_duration_saturates_departure() {
+        let template = SessionTemplate::streaming_default().expect("preset valid");
+        let cfg = config(
+            vec![shard_config(100, &template), shard_config(100, &template)],
+            BalancerPolicy::RoundRobin,
+        );
+        let faults = [
+            ShardFault {
+                plan: FaultPlan::none(100),
+                down_from: Some(20),
+            },
+            ShardFault::default(),
+        ];
+        let mut ep = FleetEndpoint::with_faults(&cfg, template, 100, &faults, 8).expect("valid");
+        ep.offer(1, 5, u64::MAX).expect("in order"); // round-robin: shard 0
+        ep.offer(2, 50, 1).expect("in order");
+        // Shard 0 died at slot 20; session 1 moved to shard 1 and
+        // still holds its reservation next to session 2's.
+        assert_eq!(ep.states[1].reserved_bits(), 2 * template.full_bits());
+        ep.shutdown(60);
+        let (wls, report) = ep.finish();
+        assert_eq!(report.rerouted, 1);
+        assert_eq!(
+            report.dispatched + report.balancer_rejected + report.drained,
+            report.offered + report.rerouted,
+            "ledger closes"
+        );
+        assert_eq!(wls[1].sessions[0].id, 1);
+        assert_eq!(wls[1].sessions[0].duration_slots, u64::MAX - 20);
     }
 
     #[test]

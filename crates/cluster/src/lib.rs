@@ -17,7 +17,8 @@
 //! Refused offers back off and retry through the cluster's
 //! [`dms_serve::RecoveryConfig`]; sessions in flight on a dying shard
 //! ([`ShardFault::down_from`]) are re-offered to the survivors after
-//! the first backoff delay. Dispatch is a single sequential pass, the
+//! the first backoff delay. Dispatch is a single sequential pass
+//! through [`FleetEndpoint`], the crate's one dispatch loop; the
 //! shard simulations then fan out across [`dms_sim::ParRunner`] and
 //! merge in shard order — cluster runs are byte-identical at any
 //! `DMS_THREADS`, and a single-shard round-robin cluster reproduces a
@@ -33,8 +34,9 @@
 //! autoscales the shard count on the predictors' occupancy signal,
 //! replaces the open-loop degrade hysteresis with per-shard PI
 //! controllers on the measured miss rate, and picks the balancer
-//! policy online with a seeded UCB bandit — pinned, it reproduces the
-//! static [`ClusterSim`] bit for bit.
+//! policy online with a seeded UCB bandit. Its dispatch is the same
+//! [`FleetEndpoint`] with a control hook installed, so pinned it
+//! reproduces the static [`ClusterSim`] bit for bit.
 
 pub mod adaptive;
 pub mod balancer;

@@ -13,7 +13,7 @@
 //!   hot set goes cold and the edge caches re-fill through the origin.
 //! * **Edge caching** is plain LRU per region; a miss must *fetch
 //!   through the shared origin*, whose uplink is guarded by the same
-//!   M/M/1/K [`AdmissionController`] predictor the servers use — an
+//!   M/M/1/K [`dms_serve::AdmissionController`] predictor the servers use — an
 //!   over-subscribed origin rejects fetches outright (the flash-crowd
 //!   failure mode of a flat fleet).
 //! * **Arrivals** are the [`ArrivalProcess::FlashCrowd`] process:
@@ -40,21 +40,16 @@
 //! fans out per shard the same way), so a [`TieredReport`] is
 //! byte-identical at any `DMS_THREADS`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use dms_manet::{routing, Manet, Protocol, RadioParams};
 use dms_media::ImageModel;
 use dms_serve::workload::SessionRequest;
-use dms_serve::{
-    AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel, ServeError,
-    SessionTemplate, Workload,
-};
+use dms_serve::{ArrivalProcess, CapacityModel, ServeError, SessionTemplate, Workload};
 use dms_sim::{MetricsRegistry, ParRunner, SimRng};
 use dms_wireless::jscc::CodecEnergy;
 use dms_wireless::{AdaptivePolicy, JsccOptimizer, Modulation, Transceiver};
 use serde::{Deserialize, Serialize};
 
+use crate::balancer::ShardState;
 use crate::cluster::{ClusterConfig, ClusterReport, ClusterSim};
 
 /// Number of device classes ([`DeviceClass::ALL`]).
@@ -805,14 +800,9 @@ impl TieredSim {
         let template = &self.config.template;
         let full_bits = template.full_bits();
         // The origin admission mirror: a cache miss reserves the
-        // session's full demand on the uplink for its holding time.
-        let origin = AdmissionController::new(
-            self.config.origin,
-            AdmissionPolicy::QueuePredictor,
-            full_bits,
-        )?;
-        let mut origin_active_bits = 0u64;
-        let mut departures: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        // session's full demand on the uplink for its holding time —
+        // the same M/M/1/K ledger a balancer keeps per shard.
+        let mut origin = ShardState::new(self.config.origin, full_bits, None, 0)?;
         let mut origin_series = Vec::with_capacity(self.config.slots as usize);
 
         let mut caches: Vec<LruCache> = regions
@@ -833,13 +823,8 @@ impl TieredSim {
         // in index order within a slot — the deterministic dispatch
         // discipline (the parallel fleet phase comes after).
         for slot in 0..self.config.slots {
-            while let Some(&Reverse((when, bits))) = departures.peek() {
-                if when > slot {
-                    break;
-                }
-                departures.pop();
-                origin_active_bits -= bits;
-            }
+            // The origin frees departures at or before `slot`.
+            origin.release_until(slot + 1);
             for r in 0..n {
                 let sessions = &workloads[r].sessions;
                 while cursors[r] < sessions.len() && sessions[cursors[r]].arrival_slot == slot {
@@ -851,10 +836,9 @@ impl TieredSim {
                     let to_fleet = if cached {
                         edge_hits[r] += 1;
                         true
-                    } else if origin.would_admit(origin_active_bits, full_bits) {
+                    } else if origin.would_admit(full_bits) {
                         origin_fetches[r] += 1;
-                        origin_active_bits += full_bits;
-                        departures.push(Reverse((slot + session.duration_slots, full_bits)));
+                        origin.reserve(slot + session.duration_slots, full_bits);
                         fetched_bits[r] += full_bits * session.duration_slots;
                         caches[r].insert(cid);
                         true
@@ -870,7 +854,7 @@ impl TieredSim {
                     }
                 }
             }
-            origin_series.push(origin_active_bits as f64);
+            origin_series.push(origin.reserved_bits() as f64);
         }
 
         // Parallel fleet phase: each region's cluster runs on the
@@ -1008,7 +992,7 @@ pub fn merge_regions(
 mod tests {
     use super::*;
     use crate::balancer::BalancerPolicy;
-    use dms_serve::{RecoveryConfig, ServerConfig};
+    use dms_serve::{AdmissionPolicy, RecoveryConfig, ServerConfig};
 
     fn template() -> SessionTemplate {
         SessionTemplate::streaming_default().expect("preset valid")
