@@ -1,35 +1,49 @@
-//! Generational struct-of-arrays store for active sessions.
+//! Dense struct-of-arrays store for active sessions, in admission order.
 //!
 //! The server's hot loop touches every active session a handful of
-//! times per slot (enqueue, water-fill sort, grant application), and at
+//! times per slot (enqueue, water-fill, grant application), and at
 //! mega-scale that working set dwarfs the cache. [`SessionArena`] keeps
-//! each field in its own dense array so a per-slot pass streams exactly
-//! the bytes it needs, and recycles slots through a free list so a
-//! departure is an O(1) handle free instead of the old
-//! `Vec::retain` scan (O(active) per departure, O(k·n) per slot).
+//! each field in its own column, and position `i` of every column is
+//! the `i`-th session in admission order, so each per-slot pass is a
+//! sequential stream over exactly the bytes it needs.
 //!
-//! Determinism: iteration always walks [`SessionArena::order`], the
-//! insertion-ordered handle list — never raw slot order, which depends
-//! on free-list history. That preserves the exact float-accumulation
-//! and crash-victim order of the original `Vec<ActiveSession>` loop
-//! (`ReferenceServerSim` pins this differentially). Departures mark the
-//! slot dead and leave a stale entry in `order`; the once-per-slot
-//! [`SessionArena::compact`] sweep removes stale entries and returns
-//! slots to the free list, so k same-slot departures cost O(k + n).
-//! A slot is only reusable after its stale entry is swept, which keeps
-//! every handle in `order` unambiguous. `Depart` events carry
-//! `(handle, act)` and are ignored unless the activation still matches
-//! — the generational check that keeps a stale departure from killing
-//! a recycled slot.
+//! Determinism: walking positions `0..len` *is* admission order, which
+//! preserves the exact float-accumulation and crash-victim order of the
+//! original `Vec<ActiveSession>` loop (`ReferenceServerSim` pins this
+//! differentially).
+//!
+//! Addressing: every (re)admission draws a fresh activation id from a
+//! counter, and every insert appends, so the `acts` column is strictly
+//! increasing. A departure finds its session by binary search on
+//! `act`; a miss (already compacted away) or a dead entry (crashed or
+//! timed out) is a no-op, so a stale `Depart` can never kill a later
+//! activation. Departures and timeouts only mark entries dead; the
+//! once-per-slot [`SessionArena::compact`] moves the live entries down
+//! over the dead ones, so k same-slot departures cost O(k log n + n)
+//! rather than the seed engine's O(k·n) `retain` scans.
 
-/// Dense per-session state, indexed by slot handle (`u32`).
+/// One crash victim's fields, copied out before its entry is dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Victim {
+    /// Index into the engine's offer ledger, for scheduling a retry.
+    pub idx: usize,
+    /// Slot the crashed activation would have departed at.
+    pub depart_slot: u64,
+    /// Retry attempts consumed to reach the crashed activation.
+    pub attempt: u32,
+    /// Playout-buffer backlog lost with the session, bits.
+    pub backlog: u64,
+}
+
+/// Per-session state in columns; position `i` is the `i`-th session in
+/// admission order (live, or dead awaiting [`SessionArena::compact`]).
 #[derive(Debug, Default)]
 pub(crate) struct SessionArena {
     /// Workload session id (unique among live sessions).
     pub ids: Vec<u64>,
-    /// Activation id, unique per (re)admission — the generation tag.
+    /// Activation id, unique per (re)admission; strictly increasing.
     pub acts: Vec<u64>,
-    /// Index into `workload.sessions`, for scheduling retries.
+    /// Index into the engine's offer ledger, for scheduling retries.
     pub idxs: Vec<usize>,
     /// Slot this activation departs at.
     pub depart_slots: Vec<u64>,
@@ -39,17 +53,10 @@ pub(crate) struct SessionArena {
     pub attempts: Vec<u32>,
     /// Playout-buffer backlog, bits — the water-filling hot field.
     pub backlogs: Vec<u64>,
-    /// Whether the slot currently holds a live activation.
-    pub alive: Vec<bool>,
-    /// Recycled slot handles (LIFO).
-    free: Vec<u32>,
-    /// Live handles in admission order, plus stale entries for sessions
-    /// killed since the last compaction.
-    pub order: Vec<u32>,
-    /// Live session count (`order.len()` minus stale entries).
+    /// Whether the entry is still live (dead entries await compaction).
+    alive: Vec<bool>,
+    /// Live session count (`len()` minus dead entries).
     live: usize,
-    /// Stale (dead) entries currently in `order`.
-    stale: usize,
 }
 
 impl SessionArena {
@@ -64,10 +71,7 @@ impl SessionArena {
             attempts: Vec::with_capacity(capacity),
             backlogs: Vec::with_capacity(capacity),
             alive: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            order: Vec::with_capacity(capacity),
             live: 0,
-            stale: 0,
         }
     }
 
@@ -76,120 +80,125 @@ impl SessionArena {
         self.live
     }
 
-    /// Slots allocated so far (live + dead + free); the bound for any
-    /// handle-indexed scratch buffer.
-    pub fn capacity(&self) -> usize {
-        self.ids.len()
+    /// Entries held, live and dead; after [`SessionArena::compact`]
+    /// this equals [`SessionArena::live`].
+    pub fn len(&self) -> usize {
+        self.acts.len()
     }
 
-    /// Admits a session: recycles a swept slot or grows the arrays,
-    /// appends the handle to `order`, and returns it.
-    pub fn insert(&mut self, id: u64, act: u64, idx: usize, depart_slot: u64, attempt: u32) -> u32 {
-        let h = match self.free.pop() {
-            Some(h) => {
-                let hi = h as usize;
-                self.ids[hi] = id;
-                self.acts[hi] = act;
-                self.idxs[hi] = idx;
-                self.depart_slots[hi] = depart_slot;
-                self.misses[hi] = 0;
-                self.attempts[hi] = attempt;
-                self.backlogs[hi] = 0;
-                self.alive[hi] = true;
-                h
-            }
-            None => {
-                let h = u32::try_from(self.ids.len()).expect("session arena exceeds u32 handles");
-                self.ids.push(id);
-                self.acts.push(act);
-                self.idxs.push(idx);
-                self.depart_slots.push(depart_slot);
-                self.misses.push(0);
-                self.attempts.push(attempt);
-                self.backlogs.push(0);
-                self.alive.push(true);
-                h
-            }
-        };
-        self.order.push(h);
+    /// Admits a session at the end of admission order. `act` must
+    /// exceed every activation id inserted before it.
+    pub fn insert(&mut self, id: u64, act: u64, idx: usize, depart_slot: u64, attempt: u32) {
+        debug_assert!(
+            self.acts.last().is_none_or(|&last| last < act),
+            "activation ids must be strictly increasing"
+        );
+        self.ids.push(id);
+        self.acts.push(act);
+        self.idxs.push(idx);
+        self.depart_slots.push(depart_slot);
+        self.misses.push(0);
+        self.attempts.push(attempt);
+        self.backlogs.push(0);
+        self.alive.push(true);
         self.live += 1;
-        h
     }
 
-    /// Departure by `(handle, act)`: kills the activation iff the slot
-    /// still holds it (the generational check). The `order` entry goes
-    /// stale until the next [`SessionArena::compact`]. Returns whether
-    /// anything died.
-    pub fn depart(&mut self, handle: u32, act: u64) -> bool {
-        let hi = handle as usize;
-        if self.alive[hi] && self.acts[hi] == act {
-            self.alive[hi] = false;
-            self.live -= 1;
-            self.stale += 1;
-            true
-        } else {
-            false
+    /// Departure by activation id: kills the entry holding `act` if it
+    /// is still live and returns its position, whose fields stay valid
+    /// until the next [`SessionArena::compact`]. A stale `act` (entry
+    /// compacted away, crashed or timed out) is a no-op returning `None`.
+    pub fn depart(&mut self, act: u64) -> Option<usize> {
+        let pos = self.acts.binary_search(&act).ok()?;
+        if !self.alive[pos] {
+            return None;
         }
+        self.kill(pos);
+        Some(pos)
     }
 
-    /// Pops the `count` newest live sessions off `order` into `buf` in
-    /// *insertion order* (oldest victim first — the order the reference
-    /// implementation's `drain(len - victims..)` yields), freeing their
-    /// slots. Stale entries encountered on the way are swept for free.
-    pub fn take_newest(&mut self, count: usize, buf: &mut Vec<u32>) {
+    /// Marks the live entry at `pos` dead in place (the timeout sweep);
+    /// the next [`SessionArena::compact`] drops it.
+    pub fn kill(&mut self, pos: usize) {
+        debug_assert!(self.alive[pos]);
+        self.alive[pos] = false;
+        self.live -= 1;
+    }
+
+    /// Removes the `count` newest live sessions, copying their fields
+    /// into `buf` in *admission order* (oldest victim first — the order
+    /// the reference implementation's `drain(len - victims..)` yields).
+    /// Dead entries among the removed tail are dropped with it.
+    pub fn take_newest(&mut self, count: usize, buf: &mut Vec<Victim>) {
         debug_assert!(count <= self.live);
         buf.clear();
-        while buf.len() < count {
-            let h = self.order.pop().expect("fewer live sessions than victims");
-            let hi = h as usize;
-            if self.alive[hi] {
-                self.alive[hi] = false;
-                self.live -= 1;
-                buf.push(h);
-            } else {
-                self.stale -= 1;
-            }
-            self.free.push(h);
+        if count == 0 {
+            return;
         }
-        buf.reverse();
+        let mut cut = self.len();
+        let mut found = 0usize;
+        while found < count {
+            cut -= 1;
+            if self.alive[cut] {
+                found += 1;
+            }
+        }
+        for pos in cut..self.len() {
+            if self.alive[pos] {
+                buf.push(Victim {
+                    idx: self.idxs[pos],
+                    depart_slot: self.depart_slots[pos],
+                    attempt: self.attempts[pos],
+                    backlog: self.backlogs[pos],
+                });
+            }
+        }
+        self.live -= count;
+        self.truncate(cut);
     }
 
-    /// Kills a live session and frees its slot immediately. Only for
-    /// callers that are compacting `order` themselves (the timeout
-    /// sweep): the handle must be removed from `order` by the caller.
-    pub fn release(&mut self, handle: u32) {
-        let hi = handle as usize;
-        debug_assert!(self.alive[hi]);
-        self.alive[hi] = false;
-        self.live -= 1;
-        self.free.push(handle);
-    }
-
-    /// Sweeps stale entries out of `order` (returning their slots to
-    /// the free list) and sums the live backlogs in one pass. After
-    /// this, `order` holds exactly the live handles in insertion order.
+    /// Drops dead entries, moving the live ones down from the first
+    /// dead position, and sums the live backlogs in the same pass.
+    /// After this every position `0..len()` is live, in admission order.
     pub fn compact(&mut self) -> u64 {
-        let mut carried = 0u64;
-        if self.stale == 0 {
-            for &h in &self.order {
-                carried += self.backlogs[h as usize];
+        let first_dead = self.alive.iter().position(|&a| !a).unwrap_or(self.len());
+        let mut carried: u64 = self.backlogs[..first_dead].iter().sum();
+        // Runs of live entries between dead ones move down column by
+        // column (one `copy_within` each), not field by field.
+        let len = self.len();
+        let (mut w, mut r) = (first_dead, first_dead);
+        while r < len {
+            while r < len && !self.alive[r] {
+                r += 1;
             }
-            return carried;
-        }
-        let mut w = 0usize;
-        for r in 0..self.order.len() {
-            let h = self.order[r];
-            if self.alive[h as usize] {
-                carried += self.backlogs[h as usize];
-                self.order[w] = h;
-                w += 1;
-            } else {
-                self.free.push(h);
+            let start = r;
+            while r < len && self.alive[r] {
+                r += 1;
             }
+            self.ids.copy_within(start..r, w);
+            self.acts.copy_within(start..r, w);
+            self.idxs.copy_within(start..r, w);
+            self.depart_slots.copy_within(start..r, w);
+            self.misses.copy_within(start..r, w);
+            self.attempts.copy_within(start..r, w);
+            self.backlogs.copy_within(start..r, w);
+            carried += self.backlogs[w..w + (r - start)].iter().sum::<u64>();
+            w += r - start;
         }
-        self.order.truncate(w);
-        self.stale = 0;
+        self.alive[first_dead..w].fill(true);
+        self.truncate(w);
         carried
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.ids.truncate(len);
+        self.acts.truncate(len);
+        self.idxs.truncate(len);
+        self.depart_slots.truncate(len);
+        self.misses.truncate(len);
+        self.attempts.truncate(len);
+        self.backlogs.truncate(len);
+        self.alive.truncate(len);
     }
 }
 
@@ -197,51 +206,132 @@ impl SessionArena {
 mod tests {
     use super::*;
 
-    #[test]
-    fn insert_depart_compact_recycles_slots() {
-        let mut a = SessionArena::with_capacity(4);
-        let h0 = a.insert(10, 0, 0, 5, 0);
-        let h1 = a.insert(11, 1, 1, 6, 0);
-        let h2 = a.insert(12, 2, 2, 7, 0);
-        assert_eq!(a.live(), 3);
-        assert_eq!(a.order, vec![h0, h1, h2]);
-
-        // Generational check: a stale act must not kill the slot.
-        assert!(!a.depart(h1, 99));
-        assert!(a.depart(h1, 1));
-        assert!(!a.depart(h1, 1), "double departure is a no-op");
-        assert_eq!(a.live(), 2);
-
-        // The dead entry stays in order until compaction...
-        assert_eq!(a.order.len(), 3);
-        a.backlogs[h0 as usize] = 7;
-        a.backlogs[h2 as usize] = 5;
-        assert_eq!(a.compact(), 12, "carried sums live backlogs only");
-        assert_eq!(a.order, vec![h0, h2]);
-
-        // ...after which the slot is recycled, newest-first.
-        let h3 = a.insert(13, 3, 3, 9, 1);
-        assert_eq!(h3, h1, "freed slot is reused");
-        assert_eq!(a.capacity(), 3, "no growth while the free list feeds");
-        assert_eq!(a.order, vec![h0, h2, h3]);
-        assert_eq!(a.backlogs[h3 as usize], 0, "recycled slot state resets");
-        assert_eq!(a.attempts[h3 as usize], 1);
+    fn arena_of(n: u64) -> SessionArena {
+        let mut a = SessionArena::with_capacity(n as usize);
+        for i in 0..n {
+            a.insert(10 + i, i, i as usize, 100 + i, 0);
+        }
+        a
     }
 
     #[test]
-    fn take_newest_yields_victims_in_insertion_order() {
-        let mut a = SessionArena::with_capacity(4);
-        let handles: Vec<u32> = (0..5).map(|i| a.insert(i, i, i as usize, 9, 0)).collect();
-        // Kill one mid-list so a stale entry sits between live ones,
-        // then one at the tail so take_newest has to sweep past it.
-        a.depart(handles[2], 2);
-        a.depart(handles[4], 4);
+    fn depart_compact_keeps_admission_order() {
+        let mut a = arena_of(3);
+        assert_eq!(a.live(), 3);
+
+        // A stale or unknown act must not kill anything.
+        assert_eq!(a.depart(99), None);
+        assert_eq!(a.depart(1), Some(1));
+        assert_eq!(a.depart(1), None, "double departure is a no-op");
+        assert_eq!(a.live(), 2);
+
+        // The dead entry keeps its position (and readable fields)
+        // until compaction...
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.ids[1], 11);
+        a.backlogs[0] = 7;
+        a.backlogs[2] = 5;
+        assert_eq!(a.compact(), 12, "carried sums live backlogs only");
+        // ...which closes the gap in admission order.
+        assert_eq!(a.acts, vec![0, 2]);
+        assert_eq!(a.ids, vec![10, 12]);
+        assert_eq!(a.backlogs, vec![7, 5]);
+        assert_eq!(a.depart(1), None, "compacted act is a binary-search miss");
+
+        // New admissions append behind the survivors.
+        a.insert(13, 3, 3, 9, 1);
+        assert_eq!(a.acts, vec![0, 2, 3]);
+        assert_eq!(a.backlogs[2], 0, "fresh entry state starts empty");
+        assert_eq!(a.attempts[2], 1);
+    }
+
+    #[test]
+    fn departure_finds_session_after_compaction_moved_it() {
+        let mut a = arena_of(6);
+        a.attempts[4] = 2;
+        a.misses[4] = 3;
+        a.backlogs[4] = 40;
+        assert_eq!(a.depart(0), Some(0));
+        assert_eq!(a.depart(2), Some(2));
+        a.compact();
+        assert_eq!(a.acts, vec![1, 3, 4, 5]);
+        // act 4 moved from position 4 to 2, carrying every column.
+        assert_eq!(a.ids[2], 14);
+        assert_eq!(a.idxs[2], 4);
+        assert_eq!(a.depart_slots[2], 104);
+        assert_eq!(a.attempts[2], 2);
+        assert_eq!(a.misses[2], 3);
+        assert_eq!(a.backlogs[2], 40);
+        assert_eq!(a.depart(4), Some(2));
+        a.compact();
+        assert_eq!(a.acts, vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn stale_act_is_a_no_op_after_crash_or_timeout() {
+        let mut a = arena_of(4);
+        // Timeout: marked dead in place, departure is a no-op both
+        // before and after compaction.
+        a.kill(1);
+        assert_eq!(a.depart(1), None);
+        a.compact();
+        assert_eq!(a.depart(1), None);
+        // Crash: the victim's entry is gone; its later `Depart` must
+        // not kill whatever was admitted after it.
+        let mut buf = Vec::new();
+        a.take_newest(1, &mut buf);
+        assert_eq!(buf.len(), 1);
+        a.insert(20, 4, 4, 9, 1);
+        assert_eq!(a.depart(3), None, "crashed act must not match");
+        assert_eq!(a.live(), 3);
+        assert_eq!(a.acts, vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn take_newest_yields_victims_oldest_first_with_fields() {
+        let mut a = arena_of(5);
+        for (pos, b) in a.backlogs.iter_mut().enumerate() {
+            *b = 100 * pos as u64;
+        }
+        a.attempts[3] = 2;
+        // Kill one mid-list so a dead entry sits between live ones,
+        // then one at the tail so take_newest has to skip past it.
+        assert!(a.depart(2).is_some());
+        assert!(a.depart(4).is_some());
         let mut buf = Vec::new();
         a.take_newest(2, &mut buf);
-        // Newest two live sessions are ids 1 and 3; insertion order.
-        assert_eq!(buf, vec![handles[1], handles[3]]);
+        // Newest two live sessions are acts 1 and 3, oldest first.
+        assert_eq!(
+            buf,
+            vec![
+                Victim {
+                    idx: 1,
+                    depart_slot: 101,
+                    attempt: 0,
+                    backlog: 100,
+                },
+                Victim {
+                    idx: 3,
+                    depart_slot: 103,
+                    attempt: 2,
+                    backlog: 300,
+                },
+            ]
+        );
         assert_eq!(a.live(), 1);
+        assert_eq!(a.len(), 1, "the removed tail takes its dead entries along");
         assert_eq!(a.compact(), 0);
-        assert_eq!(a.order, vec![handles[0]]);
+        assert_eq!(a.acts, vec![0]);
+        a.take_newest(0, &mut buf);
+        assert!(buf.is_empty());
+        assert_eq!(a.live(), 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly increasing")]
+    fn non_increasing_act_trips_debug_assert() {
+        let mut a = arena_of(2);
+        a.insert(30, 1, 0, 9, 0);
     }
 }

@@ -18,11 +18,19 @@
 //! owns the mapping from ticks to slots. That inversion is what keeps
 //! socket-fed runs byte-deterministic — the simulation only ever sees
 //! the slot numbers stamped on the offers.
+//!
+//! Each slot's sweep over the live set streams: the session arena
+//! keeps its columns dense in admission order, so compaction,
+//! enqueue, grant application and the timeout sweep all walk
+//! positions `0..live` sequentially, and the grant-apply pass
+//! memoises the last `(delivered bits, utility)` pair so the FGS
+//! utility curve is evaluated only when the delivered bit count
+//! changes from one session to the next.
 
 use dms_sim::{EventQueue, FaultEvent, FaultPlan, ScheduledFault, SimTime};
 
 use crate::admission::{AdmissionController, AdmissionMemo};
-use crate::arena::SessionArena;
+use crate::arena::{SessionArena, Victim};
 use crate::degrade::LayerController;
 use crate::error::ServeError;
 use crate::faults::{FaultReport, RecoveryConfig};
@@ -35,12 +43,11 @@ use crate::workload::{SessionRequest, SessionTemplate};
 enum ServerEvent {
     /// Index into the engine's offer ledger.
     Arrive(usize),
-    /// Activation to deactivate, addressed by arena handle. The `act`
-    /// generation tag makes the departure O(1) *and* safe: a `Depart`
-    /// scheduled for a crashed activation must not kill whatever later
-    /// activation recycled the slot, so [`SessionArena::depart`]
-    /// matches on `act` before freeing.
-    Depart { handle: u32, act: u64 },
+    /// Activation to deactivate. Activation ids are strictly increasing
+    /// in admission order, so [`SessionArena::depart`] finds the entry
+    /// by binary search; an activation that already crashed or timed
+    /// out is a miss or a dead entry, and the departure is a no-op.
+    Depart { act: u64 },
     /// A crashed or timed-out session re-offering itself after backoff.
     Retry {
         /// Index into the engine's offer ledger.
@@ -88,7 +95,7 @@ pub struct ServerEngine {
     due: Vec<ServerEvent>,
     grants: Vec<u64>,
     sorted: Vec<u32>,
-    crash_buf: Vec<u32>,
+    crash_buf: Vec<Victim>,
 
     // Fault state. The plan's events are walked with a cursor, not
     // spliced into `queue`, so the arrival/departure FIFO order within
@@ -275,8 +282,8 @@ impl ServerEngine {
     }
 
     /// Simulates one slot; returns `false` (and does nothing) once the
-    /// horizon is reached. The body is the seed `run_core` slot loop,
-    /// verbatim modulo `self.` — auditable against
+    /// horizon is reached. The body follows the seed `run_core` slot
+    /// loop step for step over the dense arena — auditable against
     /// [`crate::ReferenceServerSim`].
     #[allow(clippy::too_many_lines)] // one slot loop, kept linear for auditability
     pub fn step_slot(&mut self, mut sink: Option<&mut ServeMetricsSink>) -> bool {
@@ -308,21 +315,20 @@ impl ServerEngine {
                     let victims = ((self.arena.live() as f64 * fraction).ceil() as usize)
                         .min(self.arena.live());
                     self.arena.take_newest(victims, &mut self.crash_buf);
-                    for &h in &self.crash_buf {
-                        let hi = h as usize;
+                    for victim in &self.crash_buf {
                         self.report.crashed += 1;
-                        self.report.lost_to_fault_bits += self.arena.backlogs[hi];
+                        self.report.lost_to_fault_bits += victim.backlog;
                         if let Some(rec) = self.recovery {
-                            let remaining = self.arena.depart_slots[hi].saturating_sub(slot);
-                            if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
+                            let remaining = victim.depart_slot.saturating_sub(slot);
+                            if victim.attempt < rec.max_retries && remaining > 0 {
                                 self.report.retries += 1;
                                 self.queue.schedule(
-                                    SimTime::from_ticks(slot.saturating_add(
-                                        rec.backoff_slots(self.arena.attempts[hi]),
-                                    )),
+                                    SimTime::from_ticks(
+                                        slot.saturating_add(rec.backoff_slots(victim.attempt)),
+                                    ),
                                     ServerEvent::Retry {
-                                        idx: self.arena.idxs[hi],
-                                        attempt: self.arena.attempts[hi],
+                                        idx: victim.idx,
+                                        attempt: victim.attempt,
                                         remaining,
                                     },
                                 );
@@ -363,22 +369,23 @@ impl ServerEngine {
                     if admitted {
                         let act = self.next_act;
                         self.next_act += 1;
-                        let depart_slot = slot + req.duration_slots;
-                        let handle = self.arena.insert(req.id, act, idx, depart_slot, 0);
+                        // Saturating: a hostile `duration_slots` near
+                        // `u64::MAX` departs "never", not in the past.
+                        let depart_slot = slot.saturating_add(req.duration_slots);
+                        self.arena.insert(req.id, act, idx, depart_slot, 0);
                         self.queue.schedule(
                             SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { handle, act },
+                            ServerEvent::Depart { act },
                         );
                     }
                 }
-                ServerEvent::Depart { handle, act } => {
-                    if self.arena.depart(handle, act) {
-                        // The slot's fields stay valid until recycled:
-                        // read the departed session's trace for the
-                        // bounded sink's per-session reservoir.
+                ServerEvent::Depart { act } => {
+                    if let Some(pos) = self.arena.depart(act) {
+                        // The entry's fields stay valid until the
+                        // compaction below: read the departed session's
+                        // trace for the bounded sink's reservoir.
                         if let Some(s) = sink.as_deref_mut() {
-                            let hi = handle as usize;
-                            s.record_departure(self.arena.ids[hi], self.arena.misses[hi]);
+                            s.record_departure(self.arena.ids[pos], self.arena.misses[pos]);
                         }
                     }
                 }
@@ -399,7 +406,7 @@ impl ServerEngine {
                         let act = self.next_act;
                         self.next_act += 1;
                         let depart_slot = slot.saturating_add(remaining);
-                        let handle = self.arena.insert(
+                        self.arena.insert(
                             self.sessions[idx].id,
                             act,
                             idx,
@@ -408,7 +415,7 @@ impl ServerEngine {
                         );
                         self.queue.schedule(
                             SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { handle, act },
+                            ServerEvent::Depart { act },
                         );
                     } else {
                         self.report.retry_rejected += 1;
@@ -449,10 +456,10 @@ impl ServerEngine {
             (self.nominal_bits as f64 * self.link_factor).round() as u64
         };
 
-        // One sweep pass: drop entries killed by this slot's
-        // departures from the order walk (returning their slots to
-        // the free list) and sum the carried backlog. After this,
-        // `arena.order` is exactly the live set in admission order.
+        // One sweep pass: close the gaps left by this slot's
+        // departures (and last slot's timeouts) and sum the carried
+        // backlog. After this, arena positions `0..live` are exactly
+        // the live set in admission order.
         let carried = self.arena.compact();
         let active_now = self.arena.live() as u64;
         let layers = match self.degrade.as_mut() {
@@ -479,8 +486,7 @@ impl ServerEngine {
             // tracking the total so the uncontended shortcut below
             // can skip the sort.
             let mut total_backlog = 0u64;
-            for &h in &self.arena.order {
-                let b = &mut self.arena.backlogs[h as usize];
+            for b in &mut self.arena.backlogs {
                 let want = *b + demand;
                 let capped = want.min(self.buffer_bits);
                 self.report.base.buffer_dropped_bits += want - capped;
@@ -491,20 +497,14 @@ impl ServerEngine {
                 total_backlog = total_backlog.saturating_add(capped);
             }
 
-            self.grants.resize(self.arena.capacity(), 0);
-            if total_backlog <= capacity_now {
-                // Uncontended slot: max-min fair trivially grants
-                // every session its whole backlog, so the ascending
-                // sort below would change nothing. At the admission
-                // knee most slots land here, and skipping the
-                // O(n log n) sort is the arena engine's biggest
-                // per-slot win (bit-identical by construction — the
-                // water-fill loop yields grant = backlog whenever
-                // the link covers the total).
-                for &h in &self.arena.order {
-                    self.grants[h as usize] = self.arena.backlogs[h as usize];
-                }
-            } else {
+            // Uncontended slot: max-min fair trivially grants every
+            // session its whole backlog, so the apply pass reads the
+            // grant straight from `backlogs` and the sort is skipped.
+            // At the admission knee most slots land here (bit-identical
+            // by construction — the water-fill loop yields grant =
+            // backlog whenever the link covers the total).
+            let contended = total_backlog > capacity_now;
+            if contended {
                 // Max-min fair water-filling: ascending backlog,
                 // ties by id, so small sessions are satisfied first
                 // and the slack flows to the backlogged ones.
@@ -512,17 +512,19 @@ impl ServerEngine {
                 // bits per slot unallocated. `(backlog, id)` is a
                 // total order (ids are unique among live sessions),
                 // so the unstable sort is deterministic.
+                let n = u32::try_from(self.arena.len()).expect("live set exceeds u32 positions");
                 self.sorted.clear();
-                self.sorted.extend_from_slice(&self.arena.order);
+                self.sorted.extend(0..n);
                 let arena = &self.arena;
                 self.sorted
-                    .sort_unstable_by_key(|&h| (arena.backlogs[h as usize], arena.ids[h as usize]));
+                    .sort_unstable_by_key(|&p| (arena.backlogs[p as usize], arena.ids[p as usize]));
+                self.grants.resize(arena.len(), 0);
                 let mut remaining = capacity_now;
-                let mut left = self.sorted.len() as u64;
-                for &h in &self.sorted {
+                let mut left = u64::from(n);
+                for &p in &self.sorted {
                     let share = remaining / left;
-                    let grant = arena.backlogs[h as usize].min(share);
-                    self.grants[h as usize] = grant;
+                    let grant = arena.backlogs[p as usize].min(share);
+                    self.grants[p as usize] = grant;
                     remaining -= grant;
                     left -= 1;
                 }
@@ -531,10 +533,19 @@ impl ServerEngine {
             self.report.base.session_slots += self.arena.live() as u64;
             // Grants apply in admission order — the float
             // accumulation order the reference implementation pins.
-            for &h in &self.arena.order {
-                let hi = h as usize;
-                let grant = self.grants[hi];
-                self.arena.backlogs[hi] -= grant;
+            // Utility memo: `template.utility` is pure and most
+            // sessions in a slot are delivered the same bit count, so
+            // one cached `(bits, utility)` entry replaces nearly every
+            // call while `utility_sum` still gets one addition per
+            // session, in order.
+            let (mut memo_bits, mut memo_utility) = (full_bits, template.utility(full_bits));
+            for p in 0..self.arena.len() {
+                let grant = if contended {
+                    self.grants[p]
+                } else {
+                    self.arena.backlogs[p]
+                };
+                self.arena.backlogs[p] -= grant;
                 served += grant;
                 // In a corruption-burst slot, a fraction of the
                 // transmitted bits is lost in flight: they leave the
@@ -546,56 +557,53 @@ impl ServerEngine {
                 };
                 self.report.base.delivered_bits += grant - corrupted;
                 self.report.lost_to_fault_bits += corrupted;
-                if self.arena.backlogs[hi] > self.miss_bits {
+                if self.arena.backlogs[p] > self.miss_bits {
                     // Too far behind the deadline: the client skips
                     // ahead, stale bits are worthless.
                     self.report.base.deadline_misses += 1;
-                    self.report.base.purged_bits += self.arena.backlogs[hi] - self.miss_bits;
-                    self.arena.backlogs[hi] = self.miss_bits;
-                    self.arena.misses[hi] += 1;
+                    self.report.base.purged_bits += self.arena.backlogs[p] - self.miss_bits;
+                    self.arena.backlogs[p] = self.miss_bits;
+                    self.arena.misses[p] += 1;
                 } else {
-                    self.arena.misses[hi] = 0;
-                    self.report.base.utility_sum +=
-                        template.utility((grant - corrupted).min(full_bits));
+                    self.arena.misses[p] = 0;
+                    let bits = (grant - corrupted).min(full_bits);
+                    if bits != memo_bits {
+                        memo_bits = bits;
+                        memo_utility = template.utility(bits);
+                    }
+                    self.report.base.utility_sum += memo_utility;
                 }
-                backlog_after += self.arena.backlogs[hi];
+                backlog_after += self.arena.backlogs[p];
             }
 
             // 4. Playout-deadline timeout: a session that missed its
             //    deadline for a full timeout window aborts (the
-            //    client gave up) and retries after backoff. A single
-            //    in-place sweep in admission order, O(n) for any
-            //    number of victims.
+            //    client gave up) and retries after backoff. The sweep
+            //    walks admission order and marks victims dead in
+            //    place; the next slot's compaction drops them.
             if let Some(rec) = self.recovery {
-                let mut w = 0usize;
-                for r in 0..self.arena.order.len() {
-                    let h = self.arena.order[r];
-                    let hi = h as usize;
-                    if self.arena.misses[hi] >= rec.timeout_miss_slots {
-                        self.report.timed_out += 1;
-                        backlog_after -= self.arena.backlogs[hi];
-                        self.report.lost_to_fault_bits += self.arena.backlogs[hi];
-                        let remaining = self.arena.depart_slots[hi].saturating_sub(slot + 1);
-                        if self.arena.attempts[hi] < rec.max_retries && remaining > 0 {
-                            self.report.retries += 1;
-                            self.queue.schedule(
-                                SimTime::from_ticks(
-                                    slot.saturating_add(rec.backoff_slots(self.arena.attempts[hi])),
-                                ),
-                                ServerEvent::Retry {
-                                    idx: self.arena.idxs[hi],
-                                    attempt: self.arena.attempts[hi],
-                                    remaining,
-                                },
-                            );
-                        }
-                        self.arena.release(h);
-                    } else {
-                        self.arena.order[w] = h;
-                        w += 1;
+                for p in 0..self.arena.len() {
+                    if self.arena.misses[p] < rec.timeout_miss_slots {
+                        continue;
                     }
+                    let attempt = self.arena.attempts[p];
+                    self.report.timed_out += 1;
+                    backlog_after -= self.arena.backlogs[p];
+                    self.report.lost_to_fault_bits += self.arena.backlogs[p];
+                    let remaining = self.arena.depart_slots[p].saturating_sub(slot + 1);
+                    if attempt < rec.max_retries && remaining > 0 {
+                        self.report.retries += 1;
+                        self.queue.schedule(
+                            SimTime::from_ticks(slot.saturating_add(rec.backoff_slots(attempt))),
+                            ServerEvent::Retry {
+                                idx: self.arena.idxs[p],
+                                attempt,
+                                remaining,
+                            },
+                        );
+                    }
+                    self.arena.kill(p);
                 }
-                self.arena.order.truncate(w);
             }
 
             self.report.base.measured_occupancy += backlog_after as f64 / full_bits as f64;
@@ -763,5 +771,85 @@ mod tests {
         engine.step_slot(None);
         engine.take_verdicts(&mut verdicts);
         assert_eq!(verdicts, vec![(1, true)], "late offer decided at slot 10");
+    }
+
+    /// A wire-reachable `duration_slots` of `u64::MAX` must neither
+    /// overflow (a debug-build panic) nor wrap into a departure in the
+    /// past (a release-build session that leaves at once): the
+    /// departure saturates and the session plays out to the horizon.
+    #[test]
+    fn huge_duration_saturates_departure() {
+        let (cfg, workload) = setup(0.5, 100, 3);
+        let mut engine = ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+        engine.offer(crate::SessionRequest {
+            id: 7,
+            arrival_slot: 3,
+            duration_slots: u64::MAX,
+        });
+        engine.drain(None);
+        assert_eq!(
+            engine.arena.live(),
+            1,
+            "session still active at the horizon"
+        );
+        let report = engine.finish();
+        assert_eq!(report.base.admitted, 1);
+        assert_eq!(report.base.session_slots, 97, "active in every slot 3..100");
+    }
+
+    /// Overload plus a corruption burst: the water-fill is contended and
+    /// delivered bits differ from session to session within a slot, so
+    /// the grant path, the corruption path and the utility memo all see
+    /// changing inputs. The arena engine must still match the seed
+    /// reference exactly, field for field.
+    #[test]
+    fn contended_corrupted_slots_match_reference() {
+        use crate::{RecoveryConfig, ReferenceServerSim};
+        use dms_sim::FaultSpec;
+
+        let (mut cfg, workload) = setup(1.6, 600, 11);
+        cfg.policy = AdmissionPolicy::AdmitAll;
+        cfg.degrade = None;
+        let plan = FaultPlan::compile(
+            &[
+                FaultSpec::CorruptionBurst {
+                    start_slot: 100,
+                    duration_slots: 400,
+                    p_good_to_bad: 0.3,
+                    p_bad_to_good: 0.3,
+                    loss_good: 0.05,
+                    loss_bad: 0.4,
+                },
+                FaultSpec::CrashBurst {
+                    slot: 300,
+                    fraction: 0.2,
+                },
+            ],
+            600,
+            5,
+        )
+        .expect("valid plan");
+        let recovery = RecoveryConfig::default();
+        let mut fast_sink = ServeMetricsSink::with_capacity(600);
+        let fast = ServerSim::new(cfg)
+            .expect("valid")
+            .run_faulted(&workload, &plan, Some(&recovery), Some(&mut fast_sink))
+            .expect("runs");
+        let mut oracle_sink = ServeMetricsSink::with_capacity(600);
+        let oracle = ReferenceServerSim::new(cfg)
+            .expect("valid")
+            .run_faulted(&workload, &plan, Some(&recovery), Some(&mut oracle_sink))
+            .expect("runs");
+
+        assert!(fast.base.deadline_misses > 0, "contended path must run");
+        assert!(fast.lost_to_fault_bits > 0, "corruption path must run");
+        assert!(fast.crashed > 0 && fast.timed_out > 0);
+        assert_eq!(fast, oracle);
+        assert_eq!(
+            fast.base.utility_sum.to_bits(),
+            oracle.base.utility_sum.to_bits()
+        );
+        assert_eq!(fast_sink.active(), oracle_sink.active());
+        assert_eq!(fast_sink.deadline_misses(), oracle_sink.deadline_misses());
     }
 }
