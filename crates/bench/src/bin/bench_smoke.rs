@@ -8,8 +8,8 @@
 //! * per-experiment wall-clock seconds (sequential, one at a time);
 //! * the full `all_experiments()` suite, parallel (all cores) vs
 //!   `DMS_THREADS=1`, and the resulting speed-up;
-//! * 2¹⁶-sample fGn generation, circulant embedding vs the Hosking
-//!   oracle, and the resulting speed-up;
+//! * 2¹⁶-sample fGn generation through the circulant-embedding
+//!   sampler;
 //! * the E12 server with no metrics sink vs an attached sink (the
 //!   `None` path is the hot loop and must show no measurable
 //!   slowdown);
@@ -41,33 +41,8 @@ fn main() {
     // Per-experiment timings, isolated: sequential inside and out
     // (DMS_THREADS=1), so the numbers are comparable across machines.
     std::env::set_var("DMS_THREADS", "1");
-    const EXPERIMENTS: [fn() -> Experiment; 23] = [
-        dms_bench::fig1_stream,
-        dms_bench::fig2_design_flow,
-        dms_bench::e1_asip_speedup,
-        dms_bench::e2_traffic,
-        dms_bench::e3_noc_mapping,
-        dms_bench::e4_packet_size,
-        dms_bench::e5_scheduling,
-        dms_bench::e6_modulation,
-        dms_bench::e7_image_tx,
-        dms_bench::e8_fgs_streaming,
-        dms_bench::e9_manet_routing,
-        dms_bench::e10_steady_state,
-        dms_bench::e11_ambient,
-        dms_bench::e12_server_load,
-        dms_bench::e13_resilience,
-        dms_bench::e14_scale_out,
-        dms_bench::e15_mega_scale,
-        dms_bench::e16_geo_tiered,
-        dms_bench::e17_adaptive_fleet,
-        dms_bench::x1_lip_sync,
-        dms_bench::x2_ctmc_transient,
-        dms_bench::x3_mapped_validation,
-        dms_bench::x4_arq_packet_size,
-    ];
     let mut per_experiment: Vec<(String, f64)> = Vec::new();
-    for run in EXPERIMENTS {
+    for (_, run) in dms_bench::EXPERIMENTS {
         let mut exp: Option<Experiment> = None;
         let secs = seconds_of(|| {
             exp = Some(run());
@@ -91,25 +66,15 @@ fn main() {
         "\nsuite: sequential {sequential:.3} s, parallel {parallel:.3} s ({suite_speedup:.2}x)"
     );
 
-    // fGn at 2^16 samples: circulant embedding vs Hosking oracle.
+    // fGn at 2^16 samples through the circulant-embedding sampler. The
+    // O(n^2) Hosking oracle is not timed: its differential tests in
+    // dms-analysis cover it, and no gate reads its timing.
     let n = 1 << 16;
     let fgn = FractionalGaussianNoise::new(0.85).expect("valid");
     let circulant = seconds_of(|| {
         std::hint::black_box(fgn.generate(n, &mut SimRng::new(97)));
     });
-    // First Hosking call also pays the coefficient computation; time a
-    // second, cache-warm call separately so both costs are recorded.
-    let hosking_cold = seconds_of(|| {
-        std::hint::black_box(fgn.generate_hosking(n, &mut SimRng::new(97)));
-    });
-    let hosking_warm = seconds_of(|| {
-        std::hint::black_box(fgn.generate_hosking(n, &mut SimRng::new(98)));
-    });
-    let fgn_speedup = hosking_warm / circulant.max(1e-9);
-    println!(
-        "fGn n={n}: circulant {circulant:.3} s, hosking {hosking_warm:.3} s warm \
-         ({hosking_cold:.3} s cold) -> {fgn_speedup:.1}x"
-    );
+    println!("fGn n={n}: circulant {circulant:.3} s");
 
     // E12 server sweep, point by point: each (process, load, arm) job
     // is a single seeded run, so these are the per-shard costs the
@@ -367,13 +332,7 @@ fn main() {
         s.gauge_set("speedup", suite_speedup);
         s.gauge_set("threads", threads as f64);
     }
-    {
-        let mut s = registry.scoped("fgn_65536");
-        s.gauge_set("circulant_seconds", circulant);
-        s.gauge_set("hosking_cold_seconds", hosking_cold);
-        s.gauge_set("hosking_warm_seconds", hosking_warm);
-        s.gauge_set("speedup", fgn_speedup);
-    }
+    registry.gauge_set("fgn_65536/circulant_seconds", circulant);
     for (label, secs) in &e12_points_timed {
         registry.gauge_set(&format!("e12/{label}/seconds"), *secs);
     }
@@ -449,18 +408,10 @@ fn main() {
         ),
         (
             "fgn_65536".to_string(),
-            JsonValue::Object(vec![
-                ("circulant_seconds".to_string(), JsonValue::Float(circulant)),
-                (
-                    "hosking_cold_seconds".to_string(),
-                    JsonValue::Float(hosking_cold),
-                ),
-                (
-                    "hosking_warm_seconds".to_string(),
-                    JsonValue::Float(hosking_warm),
-                ),
-                ("speedup".to_string(), JsonValue::Float(fgn_speedup)),
-            ]),
+            JsonValue::Object(vec![(
+                "circulant_seconds".to_string(),
+                JsonValue::Float(circulant),
+            )]),
         ),
         (
             "e12_load_points".to_string(),

@@ -3,8 +3,10 @@
 //! Run with: `cargo run --release -p dms-bench --bin experiments`
 //!
 //! Optional arguments are experiment ids (case-insensitive): pass
-//! `E12` to print only that experiment — CI uses this to diff a single
-//! experiment between `DMS_THREADS=1` and parallel runs.
+//! `E12` to build and print only that experiment — CI uses this to
+//! diff a single experiment between `DMS_THREADS=1` and parallel runs.
+//! Selected experiments print in suite order; an unknown id exits with
+//! status 2.
 //!
 //! `--metrics-dir <dir>` additionally streams one chunked JSONL
 //! run-log per printed experiment to `<dir>/<id>/` — `meta.json`, the
@@ -34,14 +36,28 @@ fn main() {
             filter.push(arg);
         }
     }
+    let mut picked = Vec::new();
+    for id in &filter {
+        let Some(index) = dms_bench::experiment_index(id) else {
+            let known: Vec<&str> = dms_bench::EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            eprintln!(
+                "unknown experiment id {id:?}; known ids: {}",
+                known.join(" ")
+            );
+            std::process::exit(2);
+        };
+        picked.push(index);
+    }
+    if picked.is_empty() {
+        picked = (0..dms_bench::EXPERIMENTS.len()).collect();
+    }
+    picked.sort_unstable();
+    picked.dedup();
     if let Some(dir) = &metrics_dir {
         std::fs::create_dir_all(dir).expect("create metrics dir");
     }
     println!("# dms experiment reproductions (seeded, deterministic)\n");
-    for exp in dms_bench::all_experiments() {
-        if !filter.is_empty() && !filter.iter().any(|f| f.eq_ignore_ascii_case(exp.id)) {
-            continue;
-        }
+    for exp in dms_bench::run_experiments(&picked) {
         println!("## {} — {}\n", exp.id, exp.title);
         println!("| metric | paper | measured |");
         println!("|--------|-------|----------|");

@@ -2,9 +2,10 @@
 //!
 //! One function per quantitative claim or figure of the paper (see
 //! `DESIGN.md` for the experiment index). Each returns an
-//! [`Experiment`] of paper-vs-measured rows; the `experiments` binary
-//! prints them all, and the Criterion benches in `benches/` time the
-//! underlying kernels.
+//! [`Experiment`] of paper-vs-measured rows, and the serving
+//! experiments E12–E17 also the run-log their sweep built in the same
+//! pass. The `experiments` binary prints them, and `bench_smoke` times
+//! each one whole.
 //!
 //! Seeds are fixed so every number here is reproducible bit-for-bit.
 
@@ -81,6 +82,10 @@ pub struct Experiment {
     pub title: &'static str,
     /// The comparison rows.
     pub rows: Vec<Row>,
+    /// The run-log its own sweep built: per-point records and metrics
+    /// for the serving experiments E12–E17, empty for the rest.
+    /// [`run_log_for`] adds the meta and the rows.
+    pub log: RunLog,
 }
 
 /// F1 — the Fig. 1 decoder pipeline: buffer utilisation and stability.
@@ -114,6 +119,7 @@ pub fn fig1_stream() -> Experiment {
                 format!("{:.1}%", r.cpu_utilization * 100.0),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -151,6 +157,7 @@ pub fn fig2_design_flow() -> Experiment {
                 format!("{:?}", report.adopted),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -179,6 +186,7 @@ pub fn e1_asip_speedup() -> Experiment {
                 format!("{}", report.total_gates),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -232,6 +240,7 @@ pub fn e2_traffic() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -264,6 +273,7 @@ pub fn e3_noc_mapping() -> Experiment {
                 format!("{:.1}%", (1.0 - sa / adhoc) * 100.0),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -314,6 +324,7 @@ pub fn e4_packet_size() -> Experiment {
         id: "E4",
         title: "Packet-size exploration on the NoC (§3.3, [21][22])",
         rows,
+        log: RunLog::new(),
     }
 }
 
@@ -358,6 +369,7 @@ pub fn e5_scheduling() -> Experiment {
         id: "E5",
         title: "Energy-aware comm+task scheduling vs EDF (§3.3, [23])",
         rows,
+        log: RunLog::new(),
     }
 }
 
@@ -384,6 +396,7 @@ pub fn e6_modulation() -> Experiment {
                 format!("{} best-effort slots of {}", r.adaptive_outages, r.slots),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -411,6 +424,7 @@ pub fn e7_image_tx() -> Experiment {
                 format!("{} infeasible states of {}", r.infeasible_states, r.states),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -460,6 +474,7 @@ pub fn e8_fgs_streaming() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -510,6 +525,7 @@ pub fn e9_manet_routing() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -575,6 +591,7 @@ pub fn e10_steady_state() -> Experiment {
                 format!("simulation: {sim_loss:.4}"),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -617,6 +634,7 @@ pub fn e11_ambient() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -759,18 +777,60 @@ pub fn e12_run_point_instrumented(
         .expect("valid template")
 }
 
-/// Builds the full E12 run-log: every sweep point instrumented, a
-/// summary record and per-point summary metrics for all 30 points, and
-/// complete per-slot series for the 1.2× overload points (the ones the
-/// headline claims are about — exporting all 30 would make the log
-/// 5× larger for numbers nothing reads).
-///
-/// Points shard across [`ParRunner`] with per-shard registries merged
-/// in job order, so the log is byte-identical at any `DMS_THREADS`.
+/// Runs one serving sweep in a single pass. `job` maps a grid point to
+/// its table input, the metrics it contributes and its run-log record.
+/// Points shard across [`ParRunner`]; registries merge and records
+/// append in job order, so the log is byte-identical at any
+/// `DMS_THREADS`.
+fn sweep<P: Sync, T: Send>(
+    points: &[P],
+    job: impl Fn(&P) -> (T, MetricsRegistry, RunRecord) + Sync,
+) -> (Vec<T>, RunLog) {
+    let mut log = RunLog::new();
+    let outputs = ParRunner::new()
+        .map(points, job)
+        .into_iter()
+        .map(|(output, registry, record)| {
+            log.registry_mut().merge(&registry);
+            log.push(record);
+            output
+        })
+        .collect();
+    (outputs, log)
+}
+
+/// Builds the run-log for one experiment: the log its sweep built
+/// (empty outside E12–E17), its id and title as meta, and its
+/// paper-vs-measured rows as typed records.
 #[must_use]
-pub fn e12_run_log() -> RunLog {
+pub fn run_log_for(exp: &Experiment) -> RunLog {
+    let mut log = exp.log.clone();
+    log.set_meta("experiment", exp.id);
+    log.set_meta("title", exp.title);
+    for row in &exp.rows {
+        log.push(
+            RunRecord::new("row")
+                .with("metric", row.metric.as_str())
+                .with("paper", row.paper.as_str())
+                .with("measured", row.measured.as_str()),
+        );
+    }
+    log
+}
+
+/// E12 — the multi-session streaming server under offered-load sweep:
+/// admission control bounds the deadline-miss rate where the
+/// uncontrolled server collapses, and FGS layer shedding turns the
+/// overload cliff into a graceful utility slope.
+///
+/// The run-log carries a record and summary metrics for all 30 points,
+/// and complete per-slot series for the 1.2× overload points (the ones
+/// the headline claims are about — exporting all 30 would make the log
+/// 5× larger for numbers nothing reads).
+#[must_use]
+pub fn e12_server_load() -> Experiment {
     let points = e12_points();
-    let results = ParRunner::new().map(&points, |&point| {
+    let (reports, mut log) = sweep(&points, |&point| {
         let mut sink = ServeMetricsSink::with_capacity(E12_SLOTS as usize);
         let report = e12_run_point_instrumented(point, Some(&mut sink));
         let mut registry = MetricsRegistry::new();
@@ -790,62 +850,17 @@ pub fn e12_run_log() -> RunLog {
         if (point.load - 1.2).abs() < 1e-9 {
             sink.export(&mut registry, &format!("{scope}/series"));
         }
-        (report, registry)
+        let record = RunRecord::new("e12-point")
+            .with("label", point.label())
+            .with("load", point.load)
+            .with("self_similar", point.self_similar)
+            .with("miss_rate", report.miss_rate())
+            .with("mean_utility", report.mean_utility())
+            .with("rejection_rate", report.rejection_rate());
+        (report, registry, record)
     });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E12");
     log.set_meta("slots", E12_SLOTS.to_string());
     log.set_meta("capacity_sessions", E12_SESSIONS.to_string());
-    for (point, (report, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        log.push(
-            RunRecord::new("e12-point")
-                .with("label", point.label())
-                .with("load", point.load)
-                .with("self_similar", point.self_similar)
-                .with("miss_rate", report.miss_rate())
-                .with("mean_utility", report.mean_utility())
-                .with("rejection_rate", report.rejection_rate()),
-        );
-    }
-    log
-}
-
-/// Builds the run-log for one experiment: its paper-vs-measured rows
-/// as typed records, plus (for E12) the instrumented sweep metrics
-/// from [`e12_run_log`].
-#[must_use]
-pub fn run_log_for(exp: &Experiment) -> RunLog {
-    let mut log = match exp.id {
-        "E12" => e12_run_log(),
-        "E13" => e13_run_log(),
-        "E14" => e14_run_log(),
-        "E15" => e15_run_log(),
-        "E16" => e16_run_log(),
-        "E17" => e17_run_log(),
-        _ => RunLog::new(),
-    };
-    log.set_meta("experiment", exp.id);
-    log.set_meta("title", exp.title);
-    for row in &exp.rows {
-        log.push(
-            RunRecord::new("row")
-                .with("metric", row.metric.as_str())
-                .with("paper", row.paper.as_str())
-                .with("measured", row.measured.as_str()),
-        );
-    }
-    log
-}
-
-/// E12 — the multi-session streaming server under offered-load sweep:
-/// admission control bounds the deadline-miss rate where the
-/// uncontrolled server collapses, and FGS layer shedding turns the
-/// overload cliff into a graceful utility slope.
-#[must_use]
-pub fn e12_server_load() -> Experiment {
-    let points = e12_points();
-    let reports = ParRunner::new().map(&points, |&p| e12_run_point(p));
     let find = |load: f64, self_similar: bool, arm: E12Arm| -> &ServerReport {
         let want = E12Point {
             load,
@@ -938,6 +953,7 @@ pub fn e12_server_load() -> Experiment {
         id: "E12",
         title: "Streaming server under load: admission control + FGS shedding (S2.2, S3.2, S4)",
         rows,
+        log,
     }
 }
 
@@ -1201,18 +1217,22 @@ pub fn e13_recovery_slots(sink: &ServeMetricsSink, intensity: E13Intensity) -> O
     None
 }
 
-/// Builds the full E13 run-log: per-point fault/recovery counters and
-/// recovery gauges for all 12 points, plus complete per-slot series
-/// for the crash-intensity points (the recovery-curve headline).
+/// E13 — the streaming server under a fault-intensity sweep: fault
+/// injection (link fades, corruption bursts, stalls, crash bursts)
+/// against the uncontrolled / degrade-only / controlled arms, measuring
+/// delivered-utility recovery and recovery time.
 ///
-/// Points shard across [`ParRunner`] with per-shard registries merged
-/// in job order, so the log is byte-identical at any `DMS_THREADS`.
+/// The run-log carries per-point fault/recovery counters and recovery
+/// gauges for all 12 points, plus complete per-slot series for the
+/// crash-intensity points (the recovery-curve headline).
 #[must_use]
-pub fn e13_run_log() -> RunLog {
+pub fn e13_resilience() -> Experiment {
     let points = e13_points();
-    let results = ParRunner::new().map(&points, |&point| {
+    let (results, mut log) = sweep(&points, |&point| {
         let mut sink = ServeMetricsSink::with_capacity(E13_SLOTS as usize);
         let report = e13_run_point_instrumented(point, Some(&mut sink));
+        let recovered = e13_recovered_fraction(&sink);
+        let recovery_slots = e13_recovery_slots(&sink, point.intensity);
         let mut registry = MetricsRegistry::new();
         let scope = format!("e13/{}", point.label());
         {
@@ -1235,17 +1255,26 @@ pub fn e13_run_log() -> RunLog {
             s.counter_add("degraded_slots", report.degraded_slots);
             s.gauge_set("miss_rate", report.base.miss_rate());
             s.gauge_set("mean_utility", report.base.mean_utility());
-            s.gauge_set("recovered_fraction", e13_recovered_fraction(&sink));
+            s.gauge_set("recovered_fraction", recovered);
         }
         if point.intensity == E13Intensity::Crash {
             sink.export(&mut registry, &format!("{scope}/series"));
         }
-        let recovered = e13_recovered_fraction(&sink);
-        let recovery_slots = e13_recovery_slots(&sink, point.intensity);
-        (report, recovered, recovery_slots, registry)
+        let mut record = RunRecord::new("e13-point")
+            .with("label", point.label())
+            .with("intensity", point.intensity.label())
+            .with("arm", point.arm.label())
+            .with("miss_rate", report.base.miss_rate())
+            .with("mean_utility", report.base.mean_utility())
+            .with("recovered_fraction", recovered)
+            .with("crashed", report.crashed)
+            .with("readmitted", report.readmitted)
+            .with("lost_to_fault_bits", report.lost_to_fault_bits);
+        if let Some(slots) = recovery_slots {
+            record = record.with("recovery_slots", slots);
+        }
+        ((report, recovered, recovery_slots), registry, record)
     });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E13");
     log.set_meta("slots", E13_SLOTS.to_string());
     log.set_meta("capacity_sessions", E12_SESSIONS.to_string());
     log.set_meta(
@@ -1254,42 +1283,6 @@ pub fn e13_run_log() -> RunLog {
             .backoff_horizon_slots()
             .to_string(),
     );
-    for (point, (report, recovered, recovery_slots, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let mut record = RunRecord::new("e13-point")
-            .with("label", point.label())
-            .with("intensity", point.intensity.label())
-            .with("arm", point.arm.label())
-            .with("miss_rate", report.base.miss_rate())
-            .with("mean_utility", report.base.mean_utility())
-            .with("recovered_fraction", *recovered)
-            .with("crashed", report.crashed)
-            .with("readmitted", report.readmitted)
-            .with("lost_to_fault_bits", report.lost_to_fault_bits);
-        if let Some(slots) = recovery_slots {
-            record = record.with("recovery_slots", *slots);
-        }
-        log.push(record);
-    }
-    log
-}
-
-/// E13 — the streaming server under a fault-intensity sweep: fault
-/// injection (link fades, corruption bursts, stalls, crash bursts)
-/// against the uncontrolled / degrade-only / controlled arms, measuring
-/// delivered-utility recovery and recovery time.
-#[must_use]
-pub fn e13_resilience() -> Experiment {
-    let points = e13_points();
-    let results = ParRunner::new().map(&points, |&point| {
-        let mut sink = ServeMetricsSink::with_capacity(E13_SLOTS as usize);
-        let report = e13_run_point_instrumented(point, Some(&mut sink));
-        (
-            report,
-            e13_recovered_fraction(&sink),
-            e13_recovery_slots(&sink, point.intensity),
-        )
-    });
     let find = |intensity: E13Intensity, arm: E12Arm| {
         let want = E13Point { intensity, arm };
         points
@@ -1370,6 +1363,7 @@ pub fn e13_resilience() -> Experiment {
         id: "E13",
         title: "Resilience: fault injection + recovery on the streaming server (S5, Fig. 1)",
         rows,
+        log,
     }
 }
 
@@ -1575,61 +1569,48 @@ pub fn e14_recovered_fraction(sinks: &[ServeMetricsSink]) -> f64 {
     window_mean(&total, E14_POST_WINDOW) / pre
 }
 
-/// Builds the full E14 run-log: cluster and per-shard counters for all
-/// 48 points, recovery gauges for the crash arms, and the aggregate
-/// per-slot utility series for the headline crash points (one of four
-/// shards dying at 0.7x — the recovery curves the ≥90% claim is
-/// about).
-///
-/// Points shard across [`ParRunner`] (each point's shards fan out on
-/// the inner runner) with per-point registries merged in job order, so
-/// the log is byte-identical at any `DMS_THREADS`.
+/// Runs one E14 point instrumented and renders it the way the E14
+/// run-log carries it: cluster and per-shard counters, the recovery
+/// gauge on the crash arms, the aggregate per-slot utility series for
+/// the headline crash points (one of four shards dying at 0.7x — the
+/// recovery curves the ≥90% claim is about), and an `e14-point`
+/// record. Returns the report and recovered fraction the table reads
+/// alongside.
 #[must_use]
-pub fn e14_run_log() -> RunLog {
-    let points = e14_points();
-    let results = ParRunner::new().map(&points, |&point| {
-        let mut sinks = Vec::new();
-        let report = e14_run_point_instrumented(point, Some(&mut sinks));
-        let mut registry = MetricsRegistry::new();
-        let scope = format!("e14/{}", point.label());
-        report.export(&mut registry, &scope);
-        let recovered = point.crash.then(|| e14_recovered_fraction(&sinks));
-        if let Some(fraction) = recovered {
-            registry
-                .scoped(&scope)
-                .gauge_set("recovered_fraction", fraction);
-        }
-        if point.shards == 4 && (point.load - 0.7).abs() < 1e-9 && point.crash {
-            registry
-                .scoped(&format!("{scope}/series"))
-                .series_extend("utility", aggregate_utility(&sinks));
-        }
-        (report, recovered, registry)
-    });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E14");
-    log.set_meta("slots", E14_SLOTS.to_string());
-    log.set_meta("sessions_per_unit", E14_SESSIONS_PER_UNIT.to_string());
-    log.set_meta("crash_slot", E14_CRASH_SLOT.to_string());
-    for (point, (report, recovered, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let mut record = RunRecord::new("e14-point")
-            .with("label", point.label())
-            .with("shards", point.shards as u64)
-            .with("load", point.load)
-            .with("balancer", point.balancer.label())
-            .with("crash", point.crash)
-            .with("utility_sum", report.utility_sum())
-            .with("mean_utility", report.mean_utility())
-            .with("admitted", report.admitted())
-            .with("rejected", report.rejected())
-            .with("rerouted", report.dispatch.rerouted);
-        if let Some(fraction) = recovered {
-            record = record.with("recovered_fraction", *fraction);
-        }
-        log.push(record);
+pub fn e14_run_point_logged(
+    point: E14Point,
+) -> ((ClusterReport, Option<f64>), MetricsRegistry, RunRecord) {
+    let mut sinks = Vec::new();
+    let report = e14_run_point_instrumented(point, Some(&mut sinks));
+    let mut registry = MetricsRegistry::new();
+    let scope = format!("e14/{}", point.label());
+    report.export(&mut registry, &scope);
+    let recovered = point.crash.then(|| e14_recovered_fraction(&sinks));
+    if let Some(fraction) = recovered {
+        registry
+            .scoped(&scope)
+            .gauge_set("recovered_fraction", fraction);
     }
-    log
+    if point.shards == 4 && (point.load - 0.7).abs() < 1e-9 && point.crash {
+        registry
+            .scoped(&format!("{scope}/series"))
+            .series_extend("utility", aggregate_utility(&sinks));
+    }
+    let mut record = RunRecord::new("e14-point")
+        .with("label", point.label())
+        .with("shards", point.shards as u64)
+        .with("load", point.load)
+        .with("balancer", point.balancer.label())
+        .with("crash", point.crash)
+        .with("utility_sum", report.utility_sum())
+        .with("mean_utility", report.mean_utility())
+        .with("admitted", report.admitted())
+        .with("rejected", report.rejected())
+        .with("rerouted", report.dispatch.rerouted);
+    if let Some(fraction) = recovered {
+        record = record.with("recovered_fraction", fraction);
+    }
+    ((report, recovered), registry, record)
 }
 
 /// E14 — scale-out across a sharded cluster: aggregate utility grows
@@ -1637,15 +1618,17 @@ pub fn e14_run_log() -> RunLog {
 /// balancers, the oblivious round-robin front collapses first on the
 /// skewed fleet, and cross-shard re-routing retains ≥90% of pre-crash
 /// utility when one of four shards dies.
+///
+/// Each point is itself a whole cluster whose shards fan out on the
+/// inner [`ParRunner`]; the run-log holds every point as
+/// [`e14_run_point_logged`] renders it.
 #[must_use]
 pub fn e14_scale_out() -> Experiment {
     let points = e14_points();
-    let results = ParRunner::new().map(&points, |&point| {
-        let mut sinks = Vec::new();
-        let report = e14_run_point_instrumented(point, Some(&mut sinks));
-        let recovered = point.crash.then(|| e14_recovered_fraction(&sinks));
-        (report, recovered)
-    });
+    let (results, mut log) = sweep(&points, |&point| e14_run_point_logged(point));
+    log.set_meta("slots", E14_SLOTS.to_string());
+    log.set_meta("sessions_per_unit", E14_SESSIONS_PER_UNIT.to_string());
+    log.set_meta("crash_slot", E14_CRASH_SLOT.to_string());
     let find = |shards: usize, load: f64, balancer: BalancerPolicy, crash: bool| {
         let want = E14Point {
             shards,
@@ -1732,6 +1715,7 @@ pub fn e14_scale_out() -> Experiment {
         id: "E14",
         title: "Scale-out: sharded cluster, balancer policies + crash re-routing (S2.2, S4)",
         rows,
+        log,
     }
 }
 
@@ -1907,31 +1891,16 @@ fn e15_server_config(sessions: u64, template: &SessionTemplate) -> ServerConfig 
     }
 }
 
-/// Runs the single-server arena-engine arm on a pre-built workload.
+/// Runs the single-server arena-engine arm on a pre-built workload,
+/// with an optional metrics sink attached.
 ///
 /// Timing harnesses build the workload untimed and call this, so the
-/// sweep measures the engine, not the arrival-process generator both
-/// arms share.
-#[must_use]
-pub fn e15_run_server_on(sessions: u64, workload: &Workload) -> ServerReport {
-    ServerSim::new(e15_server_config(sessions, &workload.template))
-        .expect("valid config")
-        .run(workload)
-        .expect("valid workload")
-}
-
-/// Runs the single-server arena-engine arm at one size.
-#[must_use]
-pub fn e15_run_server(sessions: u64) -> ServerReport {
-    e15_run_server_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_server_on`] with a metrics sink attached — the harness
-/// hook for bounded instrumentation. A [`ServeMetricsSink::bounded`]
-/// sink keeps the whole 10^6-session sweep observable in O(1) memory:
-/// counters, quantile sketches of the per-slot series, and a
-/// deterministic per-session deadline-miss sample, instead of six
-/// million-element vectors nothing will ever plot whole.
+/// sweep measures the engine, not the arrival-process generator every
+/// arm shares. A [`ServeMetricsSink::bounded`] sink keeps the whole
+/// 10^6-session sweep observable in O(1) memory: counters, quantile
+/// sketches of the per-slot series, and a deterministic per-session
+/// deadline-miss sample, instead of six million-element vectors
+/// nothing will ever plot whole.
 #[must_use]
 pub fn e15_run_server_instrumented_on(
     sessions: u64,
@@ -1944,29 +1913,11 @@ pub fn e15_run_server_instrumented_on(
         .expect("valid workload")
 }
 
-/// [`e15_run_server_instrumented_on`] at one size, building the
-/// workload itself.
-#[must_use]
-pub fn e15_run_server_instrumented(
-    sessions: u64,
-    sink: Option<&mut ServeMetricsSink>,
-) -> ServerReport {
-    e15_run_server_instrumented_on(sessions, &e15_workload(sessions), sink)
-}
-
 /// Runs the seed reference engine on the *identical* workload and
-/// config. Its report must equal [`e15_run_server`]'s bit for bit —
-/// the reduced experiment and the differential proptests both pin
-/// that — so the only difference left to measure is speed.
-#[must_use]
-pub fn e15_run_reference(sessions: u64) -> ServerReport {
-    e15_run_reference_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_reference`] on a pre-built workload (see
-/// [`e15_run_server_on`]).
-#[must_use]
-pub fn e15_run_reference_on(sessions: u64, workload: &Workload) -> ServerReport {
+/// config. Its report must equal the server arm's bit for bit — the
+/// reduced experiment and the differential proptests both pin that —
+/// so the only difference left to measure is speed.
+fn e15_run_reference_on(sessions: u64, workload: &Workload) -> ServerReport {
     ReferenceServerSim::new(e15_server_config(sessions, &workload.template))
         .expect("valid config")
         .run(workload)
@@ -1976,15 +1927,7 @@ pub fn e15_run_reference_on(sessions: u64, workload: &Workload) -> ServerReport 
 /// Runs the 8-shard cluster arm: the server arm's link cut into equal
 /// admit-all shards behind the JSQ balancer, mirror predictors doing
 /// the admission the single server's controller did.
-#[must_use]
-pub fn e15_run_cluster(sessions: u64) -> ClusterReport {
-    e15_run_cluster_on(sessions, &e15_workload(sessions))
-}
-
-/// [`e15_run_cluster`] on a pre-built workload (see
-/// [`e15_run_server_on`]).
-#[must_use]
-pub fn e15_run_cluster_on(sessions: u64, workload: &Workload) -> ClusterReport {
+fn e15_run_cluster_on(sessions: u64, workload: &Workload) -> ClusterReport {
     let shard_bits = e15_capacity_bits(sessions, &workload.template) / E15_SHARDS as u64;
     let shards = (0..E15_SHARDS)
         .map(|_| ServerConfig {
@@ -2010,49 +1953,40 @@ pub fn e15_run_cluster_on(sessions: u64, workload: &Workload) -> ClusterReport {
     .expect("valid workload")
 }
 
-/// Runs one E15 point and flattens its report into the common
-/// counters. The run itself is deterministic at any `DMS_THREADS`;
-/// timing wrappers live in `bench_smoke`.
-#[must_use]
-pub fn e15_run_point(point: E15Point) -> E15Outcome {
-    e15_run_point_on(point, &e15_workload(point.sessions))
+impl From<&ServerReport> for E15Outcome {
+    fn from(r: &ServerReport) -> Self {
+        E15Outcome {
+            offered: r.offered,
+            admitted: r.admitted,
+            deadline_misses: r.deadline_misses,
+            utility_sum: r.utility_sum,
+            mean_utility: r.mean_utility(),
+        }
+    }
 }
 
-/// [`e15_run_point`] on a pre-built workload, so timing harnesses can
-/// keep workload generation outside the measured window.
+impl From<&ClusterReport> for E15Outcome {
+    fn from(r: &ClusterReport) -> Self {
+        E15Outcome {
+            offered: r.offered(),
+            admitted: r.admitted(),
+            deadline_misses: r.deadline_misses(),
+            utility_sum: r.utility_sum(),
+            mean_utility: r.mean_utility(),
+        }
+    }
+}
+
+/// Runs one E15 point on a pre-built workload (see
+/// [`e15_run_server_instrumented_on`]) and flattens its report into
+/// the common counters. The run itself is deterministic at any
+/// `DMS_THREADS`; timing wrappers live in `bench_smoke`.
 #[must_use]
 pub fn e15_run_point_on(point: E15Point, workload: &Workload) -> E15Outcome {
     match point.arm {
-        E15Arm::Server => {
-            let r = e15_run_server_on(point.sessions, workload);
-            E15Outcome {
-                offered: r.offered,
-                admitted: r.admitted,
-                deadline_misses: r.deadline_misses,
-                utility_sum: r.utility_sum,
-                mean_utility: r.mean_utility(),
-            }
-        }
-        E15Arm::Reference => {
-            let r = e15_run_reference_on(point.sessions, workload);
-            E15Outcome {
-                offered: r.offered,
-                admitted: r.admitted,
-                deadline_misses: r.deadline_misses,
-                utility_sum: r.utility_sum,
-                mean_utility: r.mean_utility(),
-            }
-        }
-        E15Arm::Cluster8 => {
-            let r = e15_run_cluster_on(point.sessions, workload);
-            E15Outcome {
-                offered: r.offered(),
-                admitted: r.admitted(),
-                deadline_misses: r.deadline_misses(),
-                utility_sum: r.utility_sum(),
-                mean_utility: r.mean_utility(),
-            }
-        }
+        E15Arm::Server => (&e15_run_server_instrumented_on(point.sessions, workload, None)).into(),
+        E15Arm::Reference => (&e15_run_reference_on(point.sessions, workload)).into(),
+        E15Arm::Cluster8 => (&e15_run_cluster_on(point.sessions, workload)).into(),
     }
 }
 
@@ -2069,46 +2003,65 @@ pub fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-/// Builds the E15 run-log: the reduced point's counters for all three
+/// E15 — the million-session engine, checked at the reduced size CI
+/// can afford: the arena engine must reproduce the seed reference
+/// engine's report bit for bit, and the 8-shard fleet must track the
+/// single link it was cut from. The timed 10^4/10^5/10^6 sweep
+/// (sessions/sec/core, peak RSS, ≥5x over the reference at 10^5)
+/// runs in `bench_smoke` and lands in `BENCH_experiments.json`, where
+/// `bench_guard --min-throughput` holds the floor.
+///
+/// The run-log carries the reduced point's counters for all three
 /// arms. Wall-clock and RSS deliberately stay out — run-logs are
 /// byte-diffed across `DMS_THREADS` in CI, so they carry only
-/// deterministic fields; the timings live in `BENCH_experiments.json`.
+/// deterministic fields.
 #[must_use]
-pub fn e15_run_log() -> RunLog {
-    let points: Vec<E15Point> = [E15Arm::Server, E15Arm::Cluster8, E15Arm::Reference]
-        .iter()
-        .map(|&arm| E15Point {
-            sessions: E15_REDUCED_SESSIONS,
-            arm,
-        })
-        .collect();
-    let results = ParRunner::new().map(&points, |&point| e15_run_point(point));
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E15");
+pub fn e15_mega_scale() -> Experiment {
+    let workload = e15_workload(E15_REDUCED_SESSIONS);
+    let points = [E15Arm::Server, E15Arm::Cluster8, E15Arm::Reference].map(|arm| E15Point {
+        sessions: E15_REDUCED_SESSIONS,
+        arm,
+    });
+    let (results, mut log) = sweep(&points, |&point| {
+        let mut registry = MetricsRegistry::new();
+        let (outcome, report) = match point.arm {
+            // The server arm runs with a constant-memory sink. Its
+            // sketch quantiles and deterministic miss sample land under
+            // `e15/instrumented`, so the CI `DMS_THREADS` byte-diff
+            // covers the streaming aggregates end to end, not just the
+            // counters.
+            E15Arm::Server => {
+                let mut sink = ServeMetricsSink::bounded();
+                let report =
+                    e15_run_server_instrumented_on(point.sessions, &workload, Some(&mut sink));
+                sink.export(&mut registry, "e15/instrumented");
+                (E15Outcome::from(&report), Some(report))
+            }
+            E15Arm::Reference => {
+                let report = e15_run_reference_on(point.sessions, &workload);
+                (E15Outcome::from(&report), Some(report))
+            }
+            E15Arm::Cluster8 => (
+                E15Outcome::from(&e15_run_cluster_on(point.sessions, &workload)),
+                None,
+            ),
+        };
+        let record = RunRecord::new("e15-point")
+            .with("label", point.label())
+            .with("sessions_target", point.sessions)
+            .with("offered", outcome.offered)
+            .with("admitted", outcome.admitted)
+            .with("deadline_misses", outcome.deadline_misses)
+            .with("utility_sum", outcome.utility_sum)
+            .with("mean_utility", outcome.mean_utility);
+        ((outcome, report), registry, record)
+    });
+    let server = results[0].1.expect("server arm reports");
+    let cluster = results[1].0;
+    let reference = results[2].1.expect("reference arm reports");
     log.set_meta("slots", E15_SLOTS.to_string());
     log.set_meta("reduced_sessions", E15_REDUCED_SESSIONS.to_string());
-    for (point, outcome) in points.iter().zip(&results) {
-        log.push(
-            RunRecord::new("e15-point")
-                .with("label", point.label())
-                .with("sessions_target", point.sessions)
-                .with("offered", outcome.offered)
-                .with("admitted", outcome.admitted)
-                .with("deadline_misses", outcome.deadline_misses)
-                .with("utility_sum", outcome.utility_sum)
-                .with("mean_utility", outcome.mean_utility),
-        );
-    }
-    // The bounded-instrumentation record: the reduced server point run
-    // again with a constant-memory sink. Its sketch quantiles and the
-    // deterministic miss sample land both in the registry (under
-    // `e15/instrumented`) and in a flat record, so the CI
-    // `DMS_THREADS` byte-diff covers the streaming aggregates end to
-    // end, not just the counters.
-    let mut sink = ServeMetricsSink::bounded();
-    let report = e15_run_server_instrumented(E15_REDUCED_SESSIONS, Some(&mut sink));
-    sink.export(log.registry_mut(), "e15/instrumented");
-    let quantile = |log: &RunLog, key: &str, q: f64| -> f64 {
+    let quantile = |key: &str, q: f64| -> f64 {
         match log.registry().get(&format!("e15/instrumented/{key}")) {
             Some(Metric::Sketch(s)) => s.quantile(q).unwrap_or(0.0),
             _ => 0.0,
@@ -2121,40 +2074,18 @@ pub fn e15_run_log() -> RunLog {
         }
         _ => (0, 0.0),
     };
-    log.push(
-        RunRecord::new("e15-instrumented")
-            .with("label", "server-reduced-bounded")
-            .with("offered", report.offered)
-            .with("admitted", report.admitted)
-            .with("deadline_misses", report.deadline_misses)
-            .with("active_p50", quantile(&log, "active", 0.5))
-            .with("active_p99", quantile(&log, "active", 0.99))
-            .with("backlog_bits_p99", quantile(&log, "backlog_bits", 0.99))
-            .with("utility_p50", quantile(&log, "utility", 0.5))
-            .with("miss_sample_len", miss_sample.0)
-            .with("miss_sample_mean", miss_sample.1),
-    );
-    log
-}
-
-/// E15 — the million-session engine, checked at the reduced size CI
-/// can afford: the arena engine must reproduce the seed reference
-/// engine's report bit for bit, and the 8-shard fleet must track the
-/// single link it was cut from. The timed 10^4/10^5/10^6 sweep
-/// (sessions/sec/core, peak RSS, ≥5x over the reference at 10^5)
-/// runs in `bench_smoke` and lands in `BENCH_experiments.json`, where
-/// `bench_guard --min-throughput` holds the floor.
-#[must_use]
-pub fn e15_mega_scale() -> Experiment {
-    let reports = ParRunner::new().run(2, |i| {
-        if i == 0 {
-            e15_run_server(E15_REDUCED_SESSIONS)
-        } else {
-            e15_run_reference(E15_REDUCED_SESSIONS)
-        }
-    });
-    let (server, reference) = (reports[0], reports[1]);
-    let cluster = e15_run_cluster(E15_REDUCED_SESSIONS);
+    let instrumented = RunRecord::new("e15-instrumented")
+        .with("label", "server-reduced-bounded")
+        .with("offered", server.offered)
+        .with("admitted", server.admitted)
+        .with("deadline_misses", server.deadline_misses)
+        .with("active_p50", quantile("active", 0.5))
+        .with("active_p99", quantile("active", 0.99))
+        .with("backlog_bits_p99", quantile("backlog_bits", 0.99))
+        .with("utility_p50", quantile("utility", 0.5))
+        .with("miss_sample_len", miss_sample.0)
+        .with("miss_sample_mean", miss_sample.1);
+    log.push(instrumented);
     Experiment {
         id: "E15",
         title: "Mega-scale engine: timing-wheel + arena vs the seed engine (S2.2, S4)",
@@ -2177,12 +2108,12 @@ pub fn e15_mega_scale() -> Experiment {
             Row::new(
                 "mean utility, single link vs 8-shard jsq fleet",
                 "the fleet tracks the link it was cut from",
-                format!("{:.3} vs {:.3}", server.mean_utility(), cluster.mean_utility()),
+                format!("{:.3} vs {:.3}", server.mean_utility(), cluster.mean_utility),
             ),
             Row::new(
                 "deadline misses (server / fleet)",
                 "admission keeps misses bounded at the knee",
-                format!("{} / {}", server.deadline_misses, cluster.deadline_misses()),
+                format!("{} / {}", server.deadline_misses, cluster.deadline_misses),
             ),
             Row::new(
                 "mega-scale sweep (10^4 / 10^5 / 10^6 sessions)",
@@ -2190,6 +2121,7 @@ pub fn e15_mega_scale() -> Experiment {
                 "bench_smoke -> BENCH_experiments.json: sessions/sec/core, peak RSS, >= 5x vs reference at 10^5",
             ),
         ],
+        log,
     }
 }
 
@@ -2436,63 +2368,49 @@ pub fn e16_run_point(point: E16Point) -> dms_cluster::TieredReport {
     }
 }
 
-/// Builds the E16 run-log: one record and one metrics scope per grid
-/// point, the per-slot origin-occupancy series for the headline
-/// tiered point, and the cache-hit-ratio vs origin-load curve.
-#[must_use]
-pub fn e16_run_log() -> RunLog {
-    let points = e16_points();
-    let results: Vec<(dms_cluster::TieredReport, MetricsRegistry)> =
-        ParRunner::new().map(&points, |&point| {
-            let report = e16_run_point(point);
-            let mut registry = MetricsRegistry::new();
-            let scope = format!("e16/{}", point.label());
-            report.export(&mut registry, &scope);
-            if point.arm == E16Arm::Tiered && (point.load - E16_LOADS[2]).abs() < 1e-9 {
-                registry.series_extend(
-                    &format!("{scope}/origin_active_bits"),
-                    report.origin_series.iter().copied(),
-                );
-            }
-            (report, registry)
-        });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E16");
-    log.set_meta("slots", E16_SLOTS.to_string());
-    log.set_meta("regions", E16_REGIONS.to_string());
-    log.set_meta("origin_sessions", E16_ORIGIN_SESSIONS.to_string());
-    for (point, (report, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        log.push(
-            RunRecord::new("e16-point")
-                .with("label", point.label())
-                .with("arm", point.arm.label())
-                .with("load", point.load)
-                .with("offered", report.offered())
-                .with("edge_hits", report.edge_hits())
-                .with("origin_fetches", report.origin_fetches())
-                .with("origin_rejected", report.origin_rejected())
-                .with("hit_ratio", report.hit_ratio())
-                .with("origin_load", report.origin_load())
-                .with("miss_rate", report.miss_rate())
-                .with("mean_utility", report.mean_utility())
-                .with("delivered_utility", report.delivered_utility())
-                .with("energy_j", report.total_energy_j())
-                .with("energy_j_per_bit", report.energy_per_bit()),
-        );
-    }
-    log
-}
-
 /// E16 — geo-tiered delivery vs a flat single-tier fleet at equal
 /// offered load: the tiered arm's cache hits bypass the shared origin
 /// bottleneck (more sessions served → more delivered utility) and its
 /// client-proximate last hop is cheaper per bit; the cache-hit-ratio
 /// vs origin-load curve quantifies how caching unloads the uplink.
+///
+/// The run-log carries one record and one metrics scope per grid
+/// point, plus the per-slot origin-occupancy series for the headline
+/// tiered point.
 #[must_use]
 pub fn e16_geo_tiered() -> Experiment {
     let points = e16_points();
-    let reports = ParRunner::new().map(&points, |&p| e16_run_point(p));
+    let (reports, mut log) = sweep(&points, |&point| {
+        let report = e16_run_point(point);
+        let mut registry = MetricsRegistry::new();
+        let scope = format!("e16/{}", point.label());
+        report.export(&mut registry, &scope);
+        if point.arm == E16Arm::Tiered && (point.load - E16_LOADS[2]).abs() < 1e-9 {
+            registry.series_extend(
+                &format!("{scope}/origin_active_bits"),
+                report.origin_series.iter().copied(),
+            );
+        }
+        let record = RunRecord::new("e16-point")
+            .with("label", point.label())
+            .with("arm", point.arm.label())
+            .with("load", point.load)
+            .with("offered", report.offered())
+            .with("edge_hits", report.edge_hits())
+            .with("origin_fetches", report.origin_fetches())
+            .with("origin_rejected", report.origin_rejected())
+            .with("hit_ratio", report.hit_ratio())
+            .with("origin_load", report.origin_load())
+            .with("miss_rate", report.miss_rate())
+            .with("mean_utility", report.mean_utility())
+            .with("delivered_utility", report.delivered_utility())
+            .with("energy_j", report.total_energy_j())
+            .with("energy_j_per_bit", report.energy_per_bit());
+        (report, registry, record)
+    });
+    log.set_meta("slots", E16_SLOTS.to_string());
+    log.set_meta("regions", E16_REGIONS.to_string());
+    log.set_meta("origin_sessions", E16_ORIGIN_SESSIONS.to_string());
     let find = |arm: E16Arm, load: f64| -> &dms_cluster::TieredReport {
         points
             .iter()
@@ -2563,6 +2481,7 @@ pub fn e16_geo_tiered() -> Experiment {
         id: "E16",
         title: "Geo-tiered delivery: edge fleets + origin vs one flat fleet (S2.2, S4)",
         rows,
+        log,
     }
 }
 
@@ -2834,17 +2753,25 @@ pub fn e17_run_point(point: E17Point) -> E17Outcome {
     }
 }
 
-/// Builds the E17 run-log: one record and one metrics scope per grid
+/// E17 — the closed-loop adaptive fleet vs the static peak-provisioned
+/// baseline at byte-identical offered traces: autoscaling converts the
+/// diurnal/trough regimes' idle capacity into a strictly better
+/// utility-per-shard-hour bill, the PI controller sheds layers against
+/// the measured miss rate, and the UCB bandit settles on a balancer
+/// per regime.
+///
+/// The run-log carries one record and one metrics scope per grid
 /// point; the adaptive scopes carry the per-slot shard-count series
 /// and the per-window controller state (arm, reward, occupancy).
 #[must_use]
-pub fn e17_run_log() -> RunLog {
+pub fn e17_adaptive_fleet() -> Experiment {
     let points = e17_points();
-    let results: Vec<(E17Outcome, MetricsRegistry)> = ParRunner::new().map(&points, |&point| {
+    let (outcomes, mut log) = sweep(&points, |&point| {
         let outcome = e17_run_point(point);
         let mut registry = MetricsRegistry::new();
         let scope = format!("e17/{}", point.label());
-        match &outcome.control {
+        let control = outcome.control.as_ref();
+        match control {
             Some(control) => {
                 dms_cluster::AdaptiveReport {
                     cluster: outcome.cluster.clone(),
@@ -2854,54 +2781,33 @@ pub fn e17_run_log() -> RunLog {
             }
             None => outcome.cluster.export(&mut registry, &scope),
         }
-        (outcome, registry)
+        let record = RunRecord::new("e17-point")
+            .with("label", point.label())
+            .with("regime", point.regime.label())
+            .with("arm", point.arm.label())
+            .with("offered", outcome.cluster.offered())
+            .with("admitted", outcome.cluster.admitted())
+            .with("rejected", outcome.cluster.rejected())
+            .with("rerouted", outcome.cluster.dispatch.rerouted)
+            .with("utility_sum", outcome.cluster.utility_sum())
+            .with("shard_slots", outcome.shard_slots())
+            .with("utility_per_shard_hour", outcome.utility_per_shard_hour())
+            .with(
+                "scale_ups",
+                control.map_or(0, |c| c.scale_events.iter().filter(|e| e.up).count() as u64),
+            )
+            .with(
+                "scale_ins",
+                control.map_or(0, |c| {
+                    c.scale_events.iter().filter(|e| !e.up).count() as u64
+                }),
+            );
+        (outcome, registry, record)
     });
-    let mut log = RunLog::new();
-    log.set_meta("experiment", "E17");
     log.set_meta("slots", E17_SLOTS.to_string());
     log.set_meta("min_shards", E17_MIN_SHARDS.to_string());
     log.set_meta("max_shards", E17_MAX_SHARDS.to_string());
     log.set_meta("control_period", E17_PERIOD.to_string());
-    for (point, (outcome, registry)) in points.iter().zip(&results) {
-        log.registry_mut().merge(registry);
-        let control = outcome.control.as_ref();
-        log.push(
-            RunRecord::new("e17-point")
-                .with("label", point.label())
-                .with("regime", point.regime.label())
-                .with("arm", point.arm.label())
-                .with("offered", outcome.cluster.offered())
-                .with("admitted", outcome.cluster.admitted())
-                .with("rejected", outcome.cluster.rejected())
-                .with("rerouted", outcome.cluster.dispatch.rerouted)
-                .with("utility_sum", outcome.cluster.utility_sum())
-                .with("shard_slots", outcome.shard_slots())
-                .with("utility_per_shard_hour", outcome.utility_per_shard_hour())
-                .with(
-                    "scale_ups",
-                    control.map_or(0, |c| c.scale_events.iter().filter(|e| e.up).count() as u64),
-                )
-                .with(
-                    "scale_ins",
-                    control.map_or(0, |c| {
-                        c.scale_events.iter().filter(|e| !e.up).count() as u64
-                    }),
-                ),
-        );
-    }
-    log
-}
-
-/// E17 — the closed-loop adaptive fleet vs the static peak-provisioned
-/// baseline at byte-identical offered traces: autoscaling converts the
-/// diurnal/trough regimes' idle capacity into a strictly better
-/// utility-per-shard-hour bill, the PI controller sheds layers against
-/// the measured miss rate, and the UCB bandit settles on a balancer
-/// per regime.
-#[must_use]
-pub fn e17_adaptive_fleet() -> Experiment {
-    let points = e17_points();
-    let outcomes = ParRunner::new().map(&points, |&p| e17_run_point(p));
     let find = |regime: E17Regime, arm: E17Arm| -> &E17Outcome {
         points
             .iter()
@@ -2974,6 +2880,7 @@ pub fn e17_adaptive_fleet() -> Experiment {
         id: "E17",
         title: "Closed-loop adaptive fleet: autoscale + PI shedding + bandit balancer (S2.2, S5)",
         rows,
+        log,
     }
 }
 
@@ -3006,6 +2913,7 @@ pub fn x1_lip_sync() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3039,6 +2947,7 @@ pub fn x2_ctmc_transient() -> Experiment {
                 format!("{:.2e}", l1(&late)),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3092,6 +3001,7 @@ pub fn x3_mapped_validation() -> Experiment {
                 ),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
@@ -3139,43 +3049,65 @@ pub fn x4_arq_packet_size() -> Experiment {
                 format!("{}", best_noisy < best_clean),
             ),
         ],
+        log: RunLog::new(),
     }
 }
 
-/// Every reproduced experiment in DESIGN.md order, extensions last.
-///
-/// The experiments are mutually independent and fully seeded, so they
-/// run concurrently on a [`ParRunner`]; the job-order merge returns
-/// them in exactly the sequence the old sequential loop produced
-/// (`DMS_THREADS=1` forces that loop back).
+/// Builds one experiment.
+pub type ExperimentFn = fn() -> Experiment;
+
+/// Every reproduced experiment as `(id, function)`, in DESIGN.md
+/// order with the extensions last. The one list the `experiments` CLI
+/// filter, [`all_experiments`] and `bench_smoke` all draw from.
+pub const EXPERIMENTS: [(&str, ExperimentFn); 23] = [
+    ("F1", fig1_stream),
+    ("F2", fig2_design_flow),
+    ("E1", e1_asip_speedup),
+    ("E2", e2_traffic),
+    ("E3", e3_noc_mapping),
+    ("E4", e4_packet_size),
+    ("E5", e5_scheduling),
+    ("E6", e6_modulation),
+    ("E7", e7_image_tx),
+    ("E8", e8_fgs_streaming),
+    ("E9", e9_manet_routing),
+    ("E10", e10_steady_state),
+    ("E11", e11_ambient),
+    ("E12", e12_server_load),
+    ("E13", e13_resilience),
+    ("E14", e14_scale_out),
+    ("E15", e15_mega_scale),
+    ("E16", e16_geo_tiered),
+    ("E17", e17_adaptive_fleet),
+    ("X1", x1_lip_sync),
+    ("X2", x2_ctmc_transient),
+    ("X3", x3_mapped_validation),
+    ("X4", x4_arq_packet_size),
+];
+
+/// Position of experiment `id` (case-insensitive) in [`EXPERIMENTS`],
+/// or `None` for an unknown id.
+#[must_use]
+pub fn experiment_index(id: &str) -> Option<usize> {
+    EXPERIMENTS
+        .iter()
+        .position(|(known, _)| known.eq_ignore_ascii_case(id))
+}
+
+/// Builds the experiments at `indices` of [`EXPERIMENTS`], in that
+/// order. They are mutually independent and fully seeded, so they run
+/// concurrently on a [`ParRunner`]; the job-order merge returns them
+/// in exactly the sequence a sequential loop would (`DMS_THREADS=1`
+/// forces that loop back).
+#[must_use]
+pub fn run_experiments(indices: &[usize]) -> Vec<Experiment> {
+    ParRunner::new().map(indices, |&i| (EXPERIMENTS[i].1)())
+}
+
+/// Every reproduced experiment, in [`EXPERIMENTS`] order.
 #[must_use]
 pub fn all_experiments() -> Vec<Experiment> {
-    const EXPERIMENTS: [fn() -> Experiment; 23] = [
-        fig1_stream,
-        fig2_design_flow,
-        e1_asip_speedup,
-        e2_traffic,
-        e3_noc_mapping,
-        e4_packet_size,
-        e5_scheduling,
-        e6_modulation,
-        e7_image_tx,
-        e8_fgs_streaming,
-        e9_manet_routing,
-        e10_steady_state,
-        e11_ambient,
-        e12_server_load,
-        e13_resilience,
-        e14_scale_out,
-        e15_mega_scale,
-        e16_geo_tiered,
-        e17_adaptive_fleet,
-        x1_lip_sync,
-        x2_ctmc_transient,
-        x3_mapped_validation,
-        x4_arq_packet_size,
-    ];
-    ParRunner::new().run(EXPERIMENTS.len(), |i| EXPERIMENTS[i]())
+    run_experiments(&(0..EXPERIMENTS.len()).collect::<Vec<_>>())
 }
 
 #[cfg(test)]
@@ -3184,7 +3116,8 @@ mod tests {
 
     #[test]
     fn every_experiment_produces_rows() {
-        for exp in all_experiments() {
+        for ((id, _), exp) in EXPERIMENTS.iter().zip(all_experiments()) {
+            assert_eq!(*id, exp.id, "table id and experiment id disagree");
             assert!(!exp.rows.is_empty(), "{} has no rows", exp.id);
             for row in &exp.rows {
                 assert!(!row.metric.is_empty());
@@ -3194,28 +3127,61 @@ mod tests {
     }
 
     #[test]
+    fn experiment_lookup_is_case_insensitive() {
+        assert_eq!(experiment_index("e12"), experiment_index("E12"));
+        assert_eq!(EXPERIMENTS[experiment_index("x4").expect("known")].0, "X4");
+        assert_eq!(experiment_index("E99"), None);
+        assert_eq!(experiment_index(""), None);
+    }
+
+    /// Every run-log holds the experiment's meta, its sweep's point
+    /// records (one per grid point, built in the same pass as the
+    /// table), and its rows appended last, in row order.
+    #[test]
     fn run_logs_carry_rows_and_meta() {
-        let exp = x4_arq_packet_size();
-        let log = run_log_for(&exp);
-        assert_eq!(log.meta("experiment"), Some(exp.id));
-        assert_eq!(log.meta("title"), Some(exp.title));
-        assert_eq!(log.records().len(), exp.rows.len());
-        let json = log.to_json_string();
-        for row in &exp.rows {
-            assert!(
-                log.records().iter().any(|r| r
-                    .fields()
-                    .iter()
-                    .any(|(k, v)| k == "metric"
-                        && *v == dms_sim::JsonValue::from(row.metric.as_str()))),
-                "row {} missing from run-log",
-                row.metric
+        let cases = [
+            (x4_arq_packet_size(), vec![]),
+            (e12_server_load(), vec!["e12-point"; e12_points().len()]),
+            (e13_resilience(), vec!["e13-point"; e13_points().len()]),
+            (e14_scale_out(), vec!["e14-point"; e14_points().len()]),
+            // The three arms at the reduced size, then the bounded-sink
+            // record of the same server run.
+            (
+                e15_mega_scale(),
+                vec!["e15-point", "e15-point", "e15-point", "e15-instrumented"],
+            ),
+            (e16_geo_tiered(), vec!["e16-point"; e16_points().len()]),
+            (e17_adaptive_fleet(), vec!["e17-point"; e17_points().len()]),
+        ];
+        for (exp, point_kinds) in &cases {
+            let log = run_log_for(exp);
+            assert_eq!(log.meta("experiment"), Some(exp.id));
+            assert_eq!(log.meta("title"), Some(exp.title));
+            let records = log.records();
+            assert_eq!(
+                records.len(),
+                point_kinds.len() + exp.rows.len(),
+                "{}",
+                exp.id
             );
+            let (sweep, rows) = records.split_at(point_kinds.len());
+            let kinds: Vec<&str> = sweep.iter().map(RunRecord::kind).collect();
+            assert_eq!(&kinds, point_kinds, "{}: point records", exp.id);
+            for (record, row) in rows.iter().zip(&exp.rows) {
+                assert_eq!(record.kind(), "row");
+                assert!(
+                    record.fields().iter().any(|(k, v)| k == "metric"
+                        && *v == dms_sim::JsonValue::from(row.metric.as_str())),
+                    "row {} missing from run-log",
+                    row.metric
+                );
+            }
+            let json = log.to_json_string();
+            assert!(json.contains("\"records\""));
+            // Building the same log twice yields identical bytes — the
+            // property the CI `DMS_THREADS` diff leans on.
+            assert_eq!(json, run_log_for(exp).to_json_string());
         }
-        assert!(json.contains("\"records\""));
-        // Building the same log twice yields identical bytes — the
-        // property the CI `DMS_THREADS` diff leans on.
-        assert_eq!(json, run_log_for(&exp).to_json_string());
     }
 
     /// Guards the EXPERIMENTS.md headline numbers: if a model change
