@@ -642,10 +642,7 @@ impl AdaptiveSim {
             workload.sessions.len() / n + 1,
             ControlLoop::new(&self.config),
         )?;
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
+        for s in workload.arrival_order().iter() {
             endpoint.offer(s.id, s.arrival_slot, s.duration_slots)?;
         }
         let (workloads, report, control) = endpoint.finish_with_control();

@@ -384,13 +384,9 @@ impl ClusterSim {
             faults,
             per_shard_hint,
         )?;
-        // `Workload::generate` emits arrivals in slot order; the stable
-        // index sort covers hand-built workloads, preserving workload
-        // order among same-slot offers — the endpoint's FIFO contract.
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
+        // Arrival order keeps workload order among same-slot offers —
+        // the endpoint's FIFO contract.
+        for s in workload.arrival_order().iter() {
             endpoint.offer(s.id, s.arrival_slot, s.duration_slots)?;
         }
         Ok(endpoint.finish())

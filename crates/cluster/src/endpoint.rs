@@ -584,10 +584,7 @@ mod tests {
 
                 let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, fault_arm, 64)
                     .expect("valid");
-                let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
-                order.sort_by_key(|&i| wl.sessions[i].arrival_slot);
-                for &i in &order {
-                    let s = wl.sessions[i];
+                for s in wl.arrival_order().iter() {
                     ep.offer(s.id, s.arrival_slot, s.duration_slots)
                         .expect("sorted offers");
                 }
@@ -629,11 +626,8 @@ mod tests {
             BalancerPolicy::JoinShortestQueue,
         );
         let mut ep = FleetEndpoint::with_faults(&cfg, template, wl.slots, &[], 64).expect("valid");
-        let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
-        order.sort_by_key(|&i| wl.sessions[i].arrival_slot);
         let mut fed = 0u64;
-        for &i in &order {
-            let s = wl.sessions[i];
+        for s in wl.arrival_order().iter() {
             if s.arrival_slot >= 100 {
                 break;
             }
@@ -698,11 +692,8 @@ mod tests {
         );
         let mut ep = FleetEndpoint::new(&cfg, template, wl.slots).expect("valid");
         ep.record_outcomes(true);
-        let mut order: Vec<usize> = (0..wl.sessions.len()).collect();
-        order.sort_by_key(|&i| wl.sessions[i].arrival_slot);
         let mut outcomes = Vec::new();
-        for &i in &order {
-            let s = wl.sessions[i];
+        for s in wl.arrival_order().iter() {
             ep.offer(s.id, s.arrival_slot, s.duration_slots)
                 .expect("sorted offers");
             ep.take_outcomes(&mut outcomes);

@@ -83,6 +83,64 @@ impl LoadgenReport {
     }
 }
 
+/// The frame checks both drivers share: the `Hello` handshake, the
+/// shutdown edge, the frame direction and the offer-slot order.
+#[derive(Debug, Default)]
+struct FrameGate {
+    hello_seen: bool,
+    done: bool,
+    last_offer_slot: u64,
+}
+
+impl FrameGate {
+    /// Vets one frame for a server whose horizon is `horizon` slots.
+    /// A frame that passes is recorded: a hello opens the session, an
+    /// offer raises the slot floor and a shutdown closes the session.
+    fn check(&mut self, frame: &Frame, horizon: u64) -> Result<(), NetError> {
+        if self.done {
+            return Err(NetError::Protocol("frame after shutdown"));
+        }
+        let before_hello = match *frame {
+            Frame::Hello { version, slots, .. } => {
+                if version != PROTOCOL_VERSION {
+                    return Err(NetError::Version {
+                        ours: PROTOCOL_VERSION,
+                        theirs: version,
+                    });
+                }
+                if slots != horizon {
+                    return Err(NetError::Protocol("slot horizon mismatch"));
+                }
+                self.hello_seen = true;
+                return Ok(());
+            }
+            Frame::Offer { .. } => "offer before hello",
+            Frame::Heartbeat { .. } => "heartbeat before hello",
+            Frame::Shutdown { .. } => "shutdown before hello",
+            Frame::Admit { .. }
+            | Frame::Reject { .. }
+            | Frame::Data { .. }
+            | Frame::Shed { .. } => {
+                return Err(NetError::Protocol("verdict frame sent to server"));
+            }
+        };
+        if !self.hello_seen {
+            return Err(NetError::Protocol(before_hello));
+        }
+        match *frame {
+            Frame::Offer { arrival_slot, .. } => {
+                if arrival_slot < self.last_offer_slot {
+                    return Err(NetError::Protocol("offer slot went backwards"));
+                }
+                self.last_offer_slot = arrival_slot;
+            }
+            Frame::Shutdown { .. } => self.done = true,
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
 /// Maps a frame stream onto one [`ServerEngine`]: the server half of
 /// a `dms-net` session. Feed it decoded frames via
 /// [`SessionDriver::on_frame`]; it steps the engine in lockstep,
@@ -92,11 +150,9 @@ impl LoadgenReport {
 pub struct SessionDriver {
     engine: ServerEngine,
     cfg: DriverConfig,
+    gate: FrameGate,
     verdict_buf: Vec<(u64, bool)>,
     log: String,
-    hello_seen: bool,
-    done: bool,
-    last_offer_slot: u64,
     delivered_last: u64,
 }
 
@@ -120,11 +176,9 @@ impl SessionDriver {
         Ok(SessionDriver {
             engine,
             cfg,
+            gate: FrameGate::default(),
             verdict_buf: Vec::new(),
             log,
-            hello_seen: false,
-            done: false,
-            last_offer_slot: 0,
             delivered_last: 0,
         })
     }
@@ -132,7 +186,7 @@ impl SessionDriver {
     /// Whether the session finished (shutdown ack sent).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.done
+        self.gate.done
     }
 
     /// Slot horizon of the underlying engine.
@@ -170,63 +224,29 @@ impl SessionDriver {
     /// hello, slot going backwards, frames after shutdown, verdict
     /// frames sent *to* the server).
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
-        if self.done {
-            return Err(NetError::Protocol("frame after shutdown"));
-        }
+        self.gate.check(&frame, self.engine.horizon())?;
         match frame {
             Frame::Hello {
-                version,
+                client_id, slots, ..
+            } => out.push(Frame::Hello {
+                version: PROTOCOL_VERSION,
                 client_id,
                 slots,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(NetError::Version {
-                        ours: PROTOCOL_VERSION,
-                        theirs: version,
-                    });
-                }
-                if slots != self.engine.horizon() {
-                    return Err(NetError::Protocol("slot horizon mismatch"));
-                }
-                self.hello_seen = true;
-                out.push(Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id,
-                    slots,
-                });
-                Ok(())
-            }
+            }),
             Frame::Offer {
                 id,
                 arrival_slot,
                 duration_slots,
             } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("offer before hello"));
-                }
-                if arrival_slot < self.last_offer_slot {
-                    return Err(NetError::Protocol("offer slot went backwards"));
-                }
-                self.last_offer_slot = arrival_slot;
                 self.advance_to(arrival_slot, out);
                 self.engine.offer(SessionRequest {
                     id,
                     arrival_slot,
                     duration_slots,
                 });
-                Ok(())
             }
-            Frame::Heartbeat { slot } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("heartbeat before hello"));
-                }
-                self.advance_to(slot, out);
-                Ok(())
-            }
+            Frame::Heartbeat { slot } => self.advance_to(slot, out),
             Frame::Shutdown { reason } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("shutdown before hello"));
-                }
                 // Graceful drain: step every remaining slot so
                 // admitted sessions play out and queued offers get
                 // their verdicts.
@@ -250,14 +270,14 @@ impl SessionDriver {
                     self.engine.slot(),
                 );
                 out.push(Frame::Shutdown { reason });
-                self.done = true;
-                Ok(())
             }
+            // Refused by the gate.
             Frame::Admit { .. }
             | Frame::Reject { .. }
             | Frame::Data { .. }
-            | Frame::Shed { .. } => Err(NetError::Protocol("verdict frame sent to server")),
+            | Frame::Shed { .. } => {}
         }
+        Ok(())
     }
 
     /// Steps the engine up to (not beyond) `target`, clamped to the
@@ -493,8 +513,8 @@ pub fn drive_direct(
 pub struct FleetDriver {
     endpoint: FleetEndpoint,
     outcome_buf: Vec<OfferOutcome>,
-    hello_seen: bool,
-    done: bool,
+    gate: FrameGate,
+    /// Latest slot any offer or heartbeat named: where shutdown cuts.
     last_slot: u64,
 }
 
@@ -506,8 +526,7 @@ impl FleetDriver {
         FleetDriver {
             endpoint,
             outcome_buf: Vec::new(),
-            hello_seen: false,
-            done: false,
+            gate: FrameGate::default(),
             last_slot: 0,
         }
     }
@@ -515,80 +534,49 @@ impl FleetDriver {
     /// Whether the session finished (shutdown ack sent).
     #[must_use]
     pub fn is_done(&self) -> bool {
-        self.done
+        self.gate.done
     }
 
     /// Applies one frame, pushing replies into `out`.
     ///
     /// # Errors
     ///
-    /// Same protocol surface as [`SessionDriver::on_frame`]; endpoint
-    /// refusals (offer after shutdown, slot going backwards) surface
-    /// as [`NetError::Protocol`].
+    /// The same protocol surface as [`SessionDriver::on_frame`], with
+    /// the same [`NetError`] for the same bad frame.
     pub fn on_frame(&mut self, frame: Frame, out: &mut Vec<Frame>) -> Result<(), NetError> {
-        if self.done {
-            return Err(NetError::Protocol("frame after shutdown"));
-        }
+        self.gate.check(&frame, self.endpoint.horizon())?;
         match frame {
             Frame::Hello {
-                version,
+                client_id, slots, ..
+            } => out.push(Frame::Hello {
+                version: PROTOCOL_VERSION,
                 client_id,
                 slots,
-            } => {
-                if version != PROTOCOL_VERSION {
-                    return Err(NetError::Version {
-                        ours: PROTOCOL_VERSION,
-                        theirs: version,
-                    });
-                }
-                if slots != self.endpoint.horizon() {
-                    return Err(NetError::Protocol("slot horizon mismatch"));
-                }
-                self.hello_seen = true;
-                out.push(Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id,
-                    slots,
-                });
-                Ok(())
-            }
+            }),
             Frame::Offer {
                 id,
                 arrival_slot,
                 duration_slots,
             } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("offer before hello"));
-                }
                 self.last_slot = self.last_slot.max(arrival_slot);
                 self.endpoint
                     .offer(id, arrival_slot, duration_slots)
                     .map_err(|_| NetError::Protocol("offer refused by endpoint"))?;
                 self.pump(out);
-                Ok(())
             }
-            Frame::Heartbeat { slot } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("heartbeat before hello"));
-                }
-                self.last_slot = self.last_slot.max(slot);
-                Ok(())
-            }
+            Frame::Heartbeat { slot } => self.last_slot = self.last_slot.max(slot),
             Frame::Shutdown { reason } => {
-                if !self.hello_seen {
-                    return Err(NetError::Protocol("shutdown before hello"));
-                }
                 self.endpoint.shutdown(self.last_slot);
                 self.pump(out);
                 out.push(Frame::Shutdown { reason });
-                self.done = true;
-                Ok(())
             }
+            // Refused by the gate.
             Frame::Admit { .. }
             | Frame::Reject { .. }
             | Frame::Data { .. }
-            | Frame::Shed { .. } => Err(NetError::Protocol("verdict frame sent to server")),
+            | Frame::Shed { .. } => {}
         }
+        Ok(())
     }
 
     fn pump(&mut self, out: &mut Vec<Frame>) {
@@ -653,75 +641,101 @@ mod tests {
         .expect("valid driver")
     }
 
-    #[test]
-    fn offer_before_hello_is_a_protocol_error() {
-        let (cfg, workload) = setup(1.0, 50, 1);
-        let mut driver = driver_for(&cfg, &workload);
-        let mut out = Vec::new();
-        let err = driver.on_frame(
-            Frame::Offer {
-                id: 1,
-                arrival_slot: 0,
-                duration_slots: 10,
-            },
-            &mut out,
-        );
-        assert!(matches!(err, Err(NetError::Protocol("offer before hello"))));
+    /// Feeds `frames` to one driver: every frame but the last must
+    /// pass; returns the error the last one draws.
+    fn refusal(
+        mut on_frame: impl FnMut(Frame) -> Result<(), NetError>,
+        frames: &[Frame],
+    ) -> String {
+        let (last, prefix) = frames.split_last().expect("non-empty case");
+        for &f in prefix {
+            on_frame(f).expect("prefix frame passes");
+        }
+        on_frame(*last)
+            .expect_err("last frame is refused")
+            .to_string()
     }
 
+    /// One gate vets frames for both drivers: every bad frame sequence
+    /// draws the same `NetError` from each.
     #[test]
-    fn version_mismatch_is_rejected_at_hello() {
-        let (cfg, workload) = setup(1.0, 50, 1);
-        let mut driver = driver_for(&cfg, &workload);
-        let mut out = Vec::new();
-        let err = driver.on_frame(
-            Frame::Hello {
-                version: PROTOCOL_VERSION + 1,
-                client_id: 1,
-                slots: 50,
-            },
-            &mut out,
-        );
-        assert!(matches!(err, Err(NetError::Version { ours: 1, theirs: 2 })));
-    }
+    fn both_drivers_refuse_bad_frames_alike() {
+        use dms_cluster::{BalancerPolicy, ClusterConfig};
 
-    #[test]
-    fn offers_going_backwards_are_rejected() {
         let (cfg, workload) = setup(1.0, 50, 1);
-        let mut driver = driver_for(&cfg, &workload);
-        let mut out = Vec::new();
-        driver
-            .on_frame(
-                Frame::Hello {
-                    version: PROTOCOL_VERSION,
-                    client_id: 1,
-                    slots: 50,
-                },
-                &mut out,
-            )
-            .unwrap();
-        driver
-            .on_frame(
-                Frame::Offer {
-                    id: 1,
-                    arrival_slot: 10,
-                    duration_slots: 5,
-                },
-                &mut out,
-            )
-            .unwrap();
-        let err = driver.on_frame(
-            Frame::Offer {
-                id: 2,
-                arrival_slot: 9,
-                duration_slots: 5,
-            },
-            &mut out,
-        );
-        assert!(matches!(
-            err,
-            Err(NetError::Protocol("offer slot went backwards"))
-        ));
+        let cluster = ClusterConfig {
+            shards: vec![cfg],
+            balancer: BalancerPolicy::RoundRobin,
+            recovery: dms_serve::RecoveryConfig::default(),
+            seed: 1,
+        };
+        let hello = |version, slots| Frame::Hello {
+            version,
+            client_id: 1,
+            slots,
+        };
+        let offer = |arrival_slot| Frame::Offer {
+            id: 1,
+            arrival_slot,
+            duration_slots: 5,
+        };
+        let ok = hello(PROTOCOL_VERSION, 50);
+        let bye = Frame::Shutdown { reason: 0 };
+        let verdict = "protocol violation: verdict frame sent to server";
+        let cases = [
+            (vec![offer(0)], "protocol violation: offer before hello"),
+            (
+                vec![Frame::Heartbeat { slot: 1 }],
+                "protocol violation: heartbeat before hello",
+            ),
+            (vec![bye], "protocol violation: shutdown before hello"),
+            (
+                vec![hello(PROTOCOL_VERSION + 1, 50)],
+                "version mismatch: ours 1, peer 2",
+            ),
+            (
+                vec![hello(PROTOCOL_VERSION, 49)],
+                "protocol violation: slot horizon mismatch",
+            ),
+            (vec![Frame::Admit { id: 1, slot: 0 }], verdict),
+            (vec![ok, Frame::Reject { id: 1, slot: 0 }], verdict),
+            (
+                vec![
+                    ok,
+                    Frame::Data {
+                        id: 0,
+                        slot: 0,
+                        bits: 1,
+                    },
+                ],
+                verdict,
+            ),
+            (vec![ok, Frame::Shed { slot: 0, layers: 1 }], verdict),
+            (
+                vec![ok, offer(10), offer(9)],
+                "protocol violation: offer slot went backwards",
+            ),
+            (
+                vec![ok, bye, Frame::Heartbeat { slot: 1 }],
+                "protocol violation: frame after shutdown",
+            ),
+            (
+                vec![ok, bye, ok],
+                "protocol violation: frame after shutdown",
+            ),
+        ];
+        for (frames, want) in cases {
+            let mut session = driver_for(&cfg, &workload);
+            let mut fleet = FleetDriver::new(
+                FleetEndpoint::new(&cluster, workload.template, workload.slots)
+                    .expect("valid endpoint"),
+            );
+            let mut out = Vec::new();
+            let by_session = refusal(|f| session.on_frame(f, &mut out), &frames);
+            let by_fleet = refusal(|f| fleet.on_frame(f, &mut out), &frames);
+            assert_eq!(by_session, want, "session driver on {frames:?}");
+            assert_eq!(by_fleet, want, "fleet driver on {frames:?}");
+        }
     }
 
     #[test]
@@ -814,10 +828,7 @@ mod tests {
                 &mut out,
             )
             .unwrap();
-        let mut order: Vec<usize> = (0..workload.sessions.len()).collect();
-        order.sort_by_key(|&i| workload.sessions[i].arrival_slot);
-        for &i in &order {
-            let s = workload.sessions[i];
+        for s in workload.arrival_order().iter() {
             driver
                 .on_frame(
                     Frame::Offer {

@@ -2,15 +2,23 @@
 //! [`ServerSim`](crate::ServerSim) runner, exposed as a stepper.
 //!
 //! [`ServerEngine`] is the *offer-source seam*: synthetic workloads
-//! ([`ServerSim::run`](crate::ServerSim::run) pre-injects every
-//! [`SessionRequest`]) and socket-delivered offers (`dms-net`'s
-//! lockstep driver injects them as frames arrive) feed the exact same
-//! admission/multiplexing/recovery code path through
-//! [`ServerEngine::offer`] + [`ServerEngine::step_slot`]. A batch run
-//! is literally "inject everything, then step to the horizon", so the
-//! engine is bit-identical to the pre-seam `run_core` loop (pinned by
-//! the `ReferenceServerSim` differential proptests and the golden
-//! run-logs).
+//! ([`ServerSim::run`](crate::ServerSim::run) offers every
+//! [`SessionRequest`] up front) and socket-delivered offers (`dms-net`'s
+//! lockstep driver offers each one as its frame arrives) feed the exact
+//! same admission/multiplexing/recovery code path through
+//! [`ServerEngine::offer`] + [`ServerEngine::step_slot`].
+//!
+//! Offers are not events. The engine keeps one ledger of every offer,
+//! slot-ordered by construction ([`ServerEngine::offer`] never lets a
+//! stamp go backwards), and a cursor into it: each slot first decides
+//! the ledger entries whose slot has come, in ledger order, and only
+//! then drains the timing wheel, which carries the dynamic events —
+//! departures and retries — alone. Same-slot arrivals therefore
+//! precede same-slot departures and retries under any injection
+//! schedule, so "offer everything, then step to the horizon" and
+//! "offer each slot just before stepping it" make identical decisions.
+//! That is the order the seed `run_core` loop used, pinned by the
+//! `ReferenceServerSim` differential proptests and the golden run-logs.
 //!
 //! The engine advances one slot per [`ServerEngine::step_slot`] call
 //! and never looks at a wall clock: whoever drives it (a `for` loop or
@@ -38,11 +46,10 @@ use crate::metrics::ServeMetricsSink;
 use crate::session::{ServerConfig, ServerReport};
 use crate::workload::{SessionRequest, SessionTemplate};
 
-/// Event payload of the server's slotted event loop.
+/// Event payload of the server's slotted event loop. Only dynamic
+/// events live on the wheel; arrivals are the offer ledger itself.
 #[derive(Debug, Clone, Copy)]
 enum ServerEvent {
-    /// Index into the engine's offer ledger.
-    Arrive(usize),
     /// Activation to deactivate. Activation ids are strictly increasing
     /// in admission order, so [`SessionArena::depart`] finds the entry
     /// by binary search; an activation that already crashed or timed
@@ -87,9 +94,12 @@ pub struct ServerEngine {
     queue: EventQueue<ServerEvent>,
     arena: SessionArena,
 
-    /// Every offer ever injected, in injection order. Events address
-    /// offers by index, so the ledger only grows.
+    /// Every offer ever injected, stamped with the slot it lands on;
+    /// the stamps never decrease, so the ledger is the arrival queue.
+    /// Retries address offers by index, so the ledger only grows.
     sessions: Vec<SessionRequest>,
+    /// Ledger position of the first offer not yet decided.
+    next_arrival: usize,
 
     // Per-slot scratch hoisted out of the loop.
     due: Vec<ServerEvent>,
@@ -98,7 +108,7 @@ pub struct ServerEngine {
     crash_buf: Vec<Victim>,
 
     // Fault state. The plan's events are walked with a cursor, not
-    // spliced into `queue`, so the arrival/departure FIFO order within
+    // spliced into `queue`, so the departure/retry FIFO order within
     // a slot is untouched by fault injection.
     fault_events: Vec<ScheduledFault>,
     fault_cursor: usize,
@@ -174,6 +184,7 @@ impl ServerEngine {
             queue: EventQueue::with_capacity(1024),
             arena: SessionArena::with_capacity(1024),
             sessions: Vec::new(),
+            next_arrival: 0,
             due: Vec::new(),
             grants: Vec::new(),
             sorted: Vec::new(),
@@ -197,17 +208,31 @@ impl ServerEngine {
         self.sessions.reserve(additional);
     }
 
-    /// Injects one offer. An offer stamped for a slot already stepped
-    /// arrives at the next unstepped slot — the socket driver's
-    /// "late frame lands now" rule; pre-injected workloads never hit
-    /// it. Offers within one slot keep injection order (FIFO), exactly
-    /// like `Workload` arrivals keep generation order.
+    /// Injects one offer. It lands on slot
+    /// `max(arrival_slot, slot(), previous offer's slot)`:
+    ///
+    /// * an offer stamped for a slot already stepped arrives at the
+    ///   next unstepped slot — the socket driver's "late frame lands
+    ///   now" rule;
+    /// * an offer stamped before the previous offer is decided at the
+    ///   previous offer's slot, so the ledger stays slot-ordered.
+    ///
+    /// Offers within one slot keep injection order (FIFO) and are all
+    /// decided before that slot's departures and retries, whenever
+    /// they were injected — a batch run that offers everything up front
+    /// and a lockstep driver that offers each slot just before stepping
+    /// it make the same decisions. An admitted offer with a zero
+    /// `duration_slots` (reachable from the wire) departs in its
+    /// admission slot, before that slot's service.
     pub fn offer(&mut self, request: SessionRequest) {
-        let idx = self.sessions.len();
-        let at = request.arrival_slot.max(self.slot);
-        self.sessions.push(request);
-        self.queue
-            .schedule(SimTime::from_ticks(at), ServerEvent::Arrive(idx));
+        let floor = self
+            .sessions
+            .last()
+            .map_or(self.slot, |prev| prev.arrival_slot.max(self.slot));
+        self.sessions.push(SessionRequest {
+            arrival_slot: request.arrival_slot.max(floor),
+            ..request
+        });
     }
 
     /// Next slot [`ServerEngine::step_slot`] will simulate (slots
@@ -248,7 +273,7 @@ impl ServerEngine {
     /// boundary.
     #[must_use]
     pub fn undecided(&self) -> u64 {
-        self.offered() - self.admitted() - self.rejected()
+        (self.sessions.len() - self.next_arrival) as u64
     }
 
     /// Total bits delivered so far (for per-slot `Data` telemetry).
@@ -258,7 +283,7 @@ impl ServerEngine {
     }
 
     /// Turns first-offer verdict recording on or off. While on, every
-    /// `Arrive` drained by [`ServerEngine::step_slot`] appends
+    /// offer decided by [`ServerEngine::step_slot`] appends
     /// `(id, admitted)` to the buffer drained by
     /// [`ServerEngine::take_verdicts`]. Retries are re-admissions of
     /// already-decided sessions and are deliberately not re-reported —
@@ -314,27 +339,15 @@ impl ServerEngine {
                 FaultEvent::SessionCrash { fraction } => {
                     let victims = ((self.arena.live() as f64 * fraction).ceil() as usize)
                         .min(self.arena.live());
-                    self.arena.take_newest(victims, &mut self.crash_buf);
-                    for victim in &self.crash_buf {
+                    let mut crashed = std::mem::take(&mut self.crash_buf);
+                    self.arena.take_newest(victims, &mut crashed);
+                    for victim in &crashed {
                         self.report.crashed += 1;
                         self.report.lost_to_fault_bits += victim.backlog;
-                        if let Some(rec) = self.recovery {
-                            let remaining = victim.depart_slot.saturating_sub(slot);
-                            if victim.attempt < rec.max_retries && remaining > 0 {
-                                self.report.retries += 1;
-                                self.queue.schedule(
-                                    SimTime::from_ticks(
-                                        slot.saturating_add(rec.backoff_slots(victim.attempt)),
-                                    ),
-                                    ServerEvent::Retry {
-                                        idx: victim.idx,
-                                        attempt: victim.attempt,
-                                        remaining,
-                                    },
-                                );
-                            }
-                        }
+                        let remaining = victim.depart_slot.saturating_sub(slot);
+                        self.retry(slot, victim.idx, victim.attempt, remaining);
                     }
+                    self.crash_buf = crashed;
                 }
                 // Component faults belong to population consumers
                 // (the E11 sensor census); the server has none.
@@ -343,42 +356,40 @@ impl ServerEngine {
             self.fault_cursor += 1;
         }
 
-        // 2. Drain due arrivals / departures / retries (FIFO within
-        //    the slot; retries were scheduled after arrivals, so
-        //    fresh offers keep their admission priority).
+        // 2. Decide this slot's arrivals: the ledger entries whose
+        //    slot has come, in ledger order, ahead of every departure
+        //    and retry due this slot — whenever they were injected.
+        while let Some(&req) = self
+            .sessions
+            .get(self.next_arrival)
+            .filter(|r| r.arrival_slot <= slot)
+        {
+            let idx = self.next_arrival;
+            self.next_arrival += 1;
+            let admitted = if slot < self.warmup_slots {
+                // Warm-up gate: the shard exists but is not ready to
+                // serve; the rejection is recorded so
+                // `admitted + rejected == offered` stays exact.
+                self.admission.record_rejection();
+                false
+            } else {
+                self.memo
+                    .decide(&mut self.admission, self.arena.live() as u64)
+            };
+            if let Some(v) = self.verdicts.as_mut() {
+                v.push((req.id, admitted));
+            }
+            if admitted {
+                self.activate(idx, slot, req.duration_slots, 0);
+            }
+        }
+
+        // 3. Drain due departures / retries (FIFO within the slot).
         let mut due = std::mem::take(&mut self.due);
         due.clear();
         due.extend(self.queue.drain_ready(now).map(|ev| ev.payload));
         for &ev in &due {
             match ev {
-                ServerEvent::Arrive(idx) => {
-                    let req = self.sessions[idx];
-                    let admitted = if slot < self.warmup_slots {
-                        // Warm-up gate: the shard exists but is not
-                        // ready to serve; the rejection is recorded so
-                        // `admitted + rejected == offered` stays exact.
-                        self.admission.record_rejection();
-                        false
-                    } else {
-                        self.memo
-                            .decide(&mut self.admission, self.arena.live() as u64)
-                    };
-                    if let Some(v) = self.verdicts.as_mut() {
-                        v.push((req.id, admitted));
-                    }
-                    if admitted {
-                        let act = self.next_act;
-                        self.next_act += 1;
-                        // Saturating: a hostile `duration_slots` near
-                        // `u64::MAX` departs "never", not in the past.
-                        let depart_slot = slot.saturating_add(req.duration_slots);
-                        self.arena.insert(req.id, act, idx, depart_slot, 0);
-                        self.queue.schedule(
-                            SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { act },
-                        );
-                    }
-                }
                 ServerEvent::Depart { act } => {
                     if let Some(pos) = self.arena.depart(act) {
                         // The entry's fields stay valid until the
@@ -403,37 +414,10 @@ impl ServerEngine {
                             .would_admit(&self.admission, self.arena.live() as u64)
                     {
                         self.report.readmitted += 1;
-                        let act = self.next_act;
-                        self.next_act += 1;
-                        let depart_slot = slot.saturating_add(remaining);
-                        self.arena.insert(
-                            self.sessions[idx].id,
-                            act,
-                            idx,
-                            depart_slot,
-                            attempt + 1,
-                        );
-                        self.queue.schedule(
-                            SimTime::from_ticks(depart_slot),
-                            ServerEvent::Depart { act },
-                        );
+                        self.activate(idx, slot, remaining, attempt + 1);
                     } else {
                         self.report.retry_rejected += 1;
-                        if let Some(rec) = self.recovery {
-                            if attempt + 1 < rec.max_retries {
-                                self.report.retries += 1;
-                                self.queue.schedule(
-                                    SimTime::from_ticks(
-                                        slot.saturating_add(rec.backoff_slots(attempt + 1)),
-                                    ),
-                                    ServerEvent::Retry {
-                                        idx,
-                                        attempt: attempt + 1,
-                                        remaining,
-                                    },
-                                );
-                            }
-                        }
+                        self.retry(slot, idx, attempt + 1, remaining);
                     }
                 }
             }
@@ -445,7 +429,7 @@ impl ServerEngine {
             .memo
             .predicted_occupancy(&self.admission, self.arena.live() as u64);
 
-        // 3. This slot's effective capacity under the fault state.
+        // 4. This slot's effective capacity under the fault state.
         let capacity_now = if stalled {
             self.report.stall_slots += 1;
             0
@@ -576,7 +560,7 @@ impl ServerEngine {
                 backlog_after += self.arena.backlogs[p];
             }
 
-            // 4. Playout-deadline timeout: a session that missed its
+            // 5. Playout-deadline timeout: a session that missed its
             //    deadline for a full timeout window aborts (the
             //    client gave up) and retries after backoff. The sweep
             //    walks admission order and marks victims dead in
@@ -586,22 +570,11 @@ impl ServerEngine {
                     if self.arena.misses[p] < rec.timeout_miss_slots {
                         continue;
                     }
-                    let attempt = self.arena.attempts[p];
                     self.report.timed_out += 1;
                     backlog_after -= self.arena.backlogs[p];
                     self.report.lost_to_fault_bits += self.arena.backlogs[p];
                     let remaining = self.arena.depart_slots[p].saturating_sub(slot + 1);
-                    if attempt < rec.max_retries && remaining > 0 {
-                        self.report.retries += 1;
-                        self.queue.schedule(
-                            SimTime::from_ticks(slot.saturating_add(rec.backoff_slots(attempt))),
-                            ServerEvent::Retry {
-                                idx: self.arena.idxs[p],
-                                attempt,
-                                remaining,
-                            },
-                        );
-                    }
+                    self.retry(slot, self.arena.idxs[p], self.arena.attempts[p], remaining);
                     self.arena.kill(p);
                 }
             }
@@ -609,7 +582,7 @@ impl ServerEngine {
             self.report.base.measured_occupancy += backlog_after as f64 / full_bits as f64;
         }
 
-        // 5. Stall detection + capacity re-estimation (recovery
+        // 6. Stall detection + capacity re-estimation (recovery
         //    only): when the link is not keeping up, admission
         //    control re-plans against what was actually served; a
         //    zero estimate fails closed until service resumes.
@@ -649,6 +622,40 @@ impl ServerEngine {
         self.prev_active = active_now;
         self.slot += 1;
         true
+    }
+
+    /// Admits ledger entry `idx` at `slot` for `hold` slots of service
+    /// as its `attempt`-th activation and schedules its departure.
+    fn activate(&mut self, idx: usize, slot: u64, hold: u64, attempt: u32) {
+        let act = self.next_act;
+        self.next_act += 1;
+        // Saturating: a hostile `duration_slots` near `u64::MAX`
+        // departs "never", not in the past.
+        let depart_slot = slot.saturating_add(hold);
+        self.arena
+            .insert(self.sessions[idx].id, act, idx, depart_slot, attempt);
+        self.queue.schedule(
+            SimTime::from_ticks(depart_slot),
+            ServerEvent::Depart { act },
+        );
+    }
+
+    /// Schedules retry `attempt` of ledger entry `idx` one backoff
+    /// after `slot`, when recovery is on, the session has `remaining`
+    /// service left and the retry budget is not spent.
+    fn retry(&mut self, slot: u64, idx: usize, attempt: u32, remaining: u64) {
+        let Some(rec) = self.recovery else { return };
+        if attempt < rec.max_retries && remaining > 0 {
+            self.report.retries += 1;
+            self.queue.schedule(
+                SimTime::from_ticks(slot.saturating_add(rec.backoff_slots(attempt))),
+                ServerEvent::Retry {
+                    idx,
+                    attempt,
+                    remaining,
+                },
+            );
+        }
     }
 
     /// Steps every remaining slot to the horizon (the drain leg of a
@@ -709,26 +716,36 @@ mod tests {
     /// The seam contract: injecting offers incrementally — interleaved
     /// with stepping, exactly as the socket driver does — must be
     /// bit-identical to the batch runner's inject-everything-up-front.
+    /// The overloaded 4000-slot input admits more sessions if lockstep
+    /// arrivals are decided after the slot's departures instead of
+    /// before them.
     #[test]
     fn incremental_injection_matches_batch_run() {
-        let (cfg, workload) = setup(1.2, 400, 21);
-        let batch = ServerSim::new(cfg)
-            .expect("valid")
-            .run(&workload)
-            .expect("runs");
+        for (load, slots, seed) in [(1.2, 400, 21), (2.5, 4000, 23)] {
+            let (cfg, workload) = setup(load, slots, seed);
+            let batch = ServerSim::new(cfg)
+                .expect("valid")
+                .run(&workload)
+                .expect("runs");
 
-        let mut engine = ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
-        // Feed each offer only once the engine has stepped up to (but
-        // not past) its arrival slot — the lockstep driver's schedule.
-        for req in &workload.sessions {
-            while engine.slot() < req.arrival_slot {
-                assert!(engine.step_slot(None));
+            let mut engine =
+                ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+            // Feed each offer only once the engine has stepped up to
+            // (but not past) its arrival slot — the lockstep driver's
+            // schedule.
+            for req in &workload.sessions {
+                while engine.slot() < req.arrival_slot {
+                    assert!(engine.step_slot(None));
+                }
+                engine.offer(*req);
             }
-            engine.offer(*req);
+            engine.drain(None);
+            let incremental = engine.finish();
+            assert_eq!(
+                incremental.base, batch,
+                "seam must not perturb the run at load {load}, seed {seed}"
+            );
         }
-        engine.drain(None);
-        let incremental = engine.finish();
-        assert_eq!(incremental.base, batch, "seam must not perturb the run");
     }
 
     #[test]
@@ -773,6 +790,34 @@ mod tests {
         assert_eq!(verdicts, vec![(1, true)], "late offer decided at slot 10");
     }
 
+    /// An offer stamped before the previous offer is decided at the
+    /// previous offer's slot, behind it: the ledger stays slot-ordered.
+    #[test]
+    fn offer_stamped_before_the_previous_lands_on_its_slot() {
+        let (cfg, workload) = setup(0.5, 100, 3);
+        let mut engine = ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+        engine.record_verdicts(true);
+        for (id, arrival_slot) in [(1, 6), (2, 2)] {
+            engine.offer(crate::SessionRequest {
+                id,
+                arrival_slot,
+                duration_slots: 5,
+            });
+        }
+        let mut verdicts = Vec::new();
+        for slot in 0..7 {
+            engine.step_slot(None);
+            engine.take_verdicts(&mut verdicts);
+            let expected = if slot < 6 { 2 } else { 0 };
+            assert_eq!(engine.undecided(), expected, "after slot {slot}");
+        }
+        assert_eq!(
+            verdicts,
+            vec![(1, true), (2, true)],
+            "both decided at slot 6"
+        );
+    }
+
     /// A wire-reachable `duration_slots` of `u64::MAX` must neither
     /// overflow (a debug-build panic) nor wrap into a departure in the
     /// past (a release-build session that leaves at once): the
@@ -795,6 +840,22 @@ mod tests {
         let report = engine.finish();
         assert_eq!(report.base.admitted, 1);
         assert_eq!(report.base.session_slots, 97, "active in every slot 3..100");
+    }
+
+    /// A zero holding time is admitted and leaves before any service.
+    #[test]
+    fn zero_duration_departs_before_service() {
+        let (cfg, workload) = setup(0.5, 100, 3);
+        let mut engine = ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+        engine.offer(crate::SessionRequest {
+            id: 7,
+            arrival_slot: 3,
+            duration_slots: 0,
+        });
+        engine.drain(None);
+        let report = engine.finish();
+        assert_eq!(report.base.admitted, 1);
+        assert_eq!(report.base.session_slots, 0);
     }
 
     /// Overload plus a corruption burst: the water-fill is contended and

@@ -2,16 +2,15 @@
 //! over one shared link.
 //!
 //! [`ServerSim`] runs an open-loop [`Workload`] through
-//! a slotted server: every slot it drains due arrival/departure events
-//! from a [`dms_sim::EventQueue`] (FIFO within the slot, via
-//! [`dms_sim::EventQueue::drain_ready`]), asks the
-//! [`crate::AdmissionController`] about each
-//! arrival, lets the [`crate::LayerController`] pick
-//! the slot's FGS layer cap, and then divides the link capacity over
-//! the active sessions with a max-min fair water-filling allocation.
-//! Since PR 7 the loop itself lives in the incremental
-//! [`ServerEngine`]; this runner injects the whole workload up front
-//! and steps the engine to the horizon.
+//! a slotted server: every slot it decides that slot's arrivals with
+//! the [`crate::AdmissionController`], drains due departures and
+//! retries from a [`dms_sim::EventQueue`] (FIFO within the slot, via
+//! [`dms_sim::EventQueue::drain_ready`]), lets the
+//! [`crate::LayerController`] pick the slot's FGS layer cap, and then
+//! divides the link capacity over the active sessions with a max-min
+//! fair water-filling allocation. The loop itself lives in the
+//! incremental [`ServerEngine`]; this runner offers the whole workload
+//! in arrival order up front and steps the engine to the horizon.
 //!
 //! A session that falls further than the deadline allowance behind is
 //! charged a *deadline miss* for the slot (utility zero, stale bits
@@ -183,10 +182,12 @@ impl ServerSim {
 
     /// Runs `workload` to its horizon and reports what happened.
     ///
-    /// Arrivals are pre-scheduled in generation order, so same-slot
-    /// arrivals drain FIFO by session id and always ahead of same-slot
-    /// departures (departures are scheduled later, at admission time) —
-    /// admission is thus deliberately conservative at the slot edge.
+    /// Sessions are offered in [`Workload::arrival_order`], so
+    /// same-slot arrivals are decided in workload order and always
+    /// ahead of same-slot departures and retries — admission is thus
+    /// deliberately conservative at the slot edge. The engine keeps
+    /// that order however offers are injected, so `dms-net`'s lockstep
+    /// driver makes exactly these decisions for the same trace.
     ///
     /// # Errors
     ///
@@ -253,12 +254,12 @@ impl ServerSim {
     }
 
     /// The one slotted server loop every public runner delegates to —
-    /// now a thin batch driver over the incremental
-    /// [`ServerEngine`]: inject every workload offer up front, step to
-    /// the horizon, finish. The engine is the offer-source seam shared
-    /// with `dms-net`'s socket driver, so synthetic and socket offers
-    /// run the same admission/multiplexing/recovery code path; its
-    /// slot loop is the seed implementation verbatim (pinned against
+    /// a thin batch driver over the incremental [`ServerEngine`]:
+    /// offer every session in arrival order, step to the horizon,
+    /// finish. The engine is the offer-source seam shared with
+    /// `dms-net`'s socket driver, so synthetic and socket offers run
+    /// the same admission/multiplexing/recovery code path; its slot
+    /// loop is the seed implementation's (pinned against
     /// [`crate::ReferenceServerSim`] by differential proptests and the
     /// golden run-logs).
     fn run_core(
@@ -275,8 +276,9 @@ impl ServerSim {
             faults,
             recovery,
         )?;
-        engine.reserve(workload.sessions.len());
-        for &req in &workload.sessions {
+        let offers = workload.arrival_order();
+        engine.reserve(offers.len());
+        for &req in offers.iter() {
             engine.offer(req);
         }
         while engine.step_slot(sink.as_deref_mut()) {}

@@ -20,6 +20,8 @@
 //! labelled [`SimRng`] sub-streams, so a workload is a pure function of
 //! `(process, template, slots, seed)`.
 
+use std::borrow::Cow;
+
 use dms_analysis::{FractionalGaussianNoise, PoissonArrivals};
 use dms_media::fgs::{FgsEncoder, FgsFrame, BIT_PLANES};
 use dms_media::trace_gen::VideoTraceGenerator;
@@ -395,8 +397,9 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Generates a workload: arrival counts from `process`, one
-    /// exponential holding time per session.
+    /// Generates a workload: arrival counts from `process`, then one
+    /// exponential holding time per session as in
+    /// [`Workload::from_arrival_counts`].
     ///
     /// # Errors
     ///
@@ -409,29 +412,11 @@ impl Workload {
         seed: u64,
     ) -> Result<Workload, ServeError> {
         template.validate()?;
-        let master = SimRng::new(seed);
-        let counts = process.counts(slots as usize, &mut master.substream("serve-arrivals", 0))?;
-        let mut durations = master.substream("serve-durations", 0);
-        let mut sessions = Vec::new();
-        let mut id = 0u64;
-        for (slot, &n) in counts.iter().enumerate() {
-            for _ in 0..n {
-                let d = durations
-                    .exponential(template.mean_duration_slots)
-                    .ceil()
-                    .max(1.0) as u64;
-                sessions.push(SessionRequest {
-                    id,
-                    arrival_slot: slot as u64,
-                    duration_slots: d,
-                });
-                id += 1;
-            }
-        }
+        let mut arrivals = SimRng::new(seed).substream("serve-arrivals", 0);
+        let counts = process.counts(slots as usize, &mut arrivals)?;
         Ok(Workload {
-            sessions,
-            template,
             slots,
+            ..Self::from_arrival_counts(&counts, template, seed)?
         })
     }
 
@@ -475,6 +460,21 @@ impl Workload {
             template,
             slots: counts.len() as u64,
         })
+    }
+
+    /// The sessions in `(arrival_slot, workload order)` — the order
+    /// every offer-driven runner feeds them in. Borrows when
+    /// `sessions` is already in that order (every generated workload
+    /// is); otherwise returns a stably sorted copy.
+    #[must_use]
+    pub fn arrival_order(&self) -> Cow<'_, [SessionRequest]> {
+        if self.sessions.is_sorted_by_key(|s| s.arrival_slot) {
+            Cow::Borrowed(&self.sessions)
+        } else {
+            let mut sorted = self.sessions.clone();
+            sorted.sort_by_key(|s| s.arrival_slot);
+            Cow::Owned(sorted)
+        }
     }
 
     /// Offered load: mean full-quality demand of concurrently held

@@ -2,8 +2,8 @@
 
 use dms_serve::{
     rate_for_load, AdmissionController, AdmissionPolicy, ArrivalProcess, CapacityModel,
-    DegradeConfig, RecoveryConfig, ReferenceServerSim, ServeMetricsSink, ServerConfig, ServerSim,
-    SessionTemplate, Workload,
+    DegradeConfig, RecoveryConfig, ReferenceServerSim, ServeMetricsSink, ServerConfig,
+    ServerEngine, ServerSim, SessionTemplate, Workload,
 };
 use dms_sim::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
@@ -452,5 +452,64 @@ proptest! {
         prop_assert_eq!(fast_sink.active(), oracle_sink.active());
         prop_assert_eq!(fast_sink.deadline_misses(), oracle_sink.deadline_misses());
         prop_assert_eq!(fast_sink.enqueued_bits(), oracle_sink.enqueued_bits());
+    }
+
+    /// The offer seam under faults: feeding a workload in the lockstep
+    /// driver's order — each offer injected only once the engine has
+    /// stepped up to its slot, after that slot's departures and
+    /// retries were scheduled — decides exactly what the batch runner
+    /// decides, every counter and the float bits of `utility_sum`
+    /// included. Short holding times keep departures in most slots, so
+    /// arrivals and departures share slot edges under overload.
+    #[test]
+    fn lockstep_injection_matches_batch_faulted(
+        load in 0.2f64..3.0,
+        recovery_on in proptest::bool::ANY,
+        specs in proptest::collection::vec(fault_spec(), 0..6),
+        seed in 0u64..500,
+        plan_seed in 0u64..500,
+    ) {
+        let template = SessionTemplate {
+            mean_duration_slots: 20.0,
+            ..SessionTemplate::streaming_default().expect("preset valid")
+        };
+        let capacity = CapacityModel {
+            link_bits_per_slot: 10 * template.full_bits(),
+            queue_frames: 64,
+            occupancy_bound: 8.0,
+        };
+        let rate = rate_for_load(load, &template, capacity.link_bits_per_slot);
+        let workload = Workload::generate(ArrivalProcess::Poisson { rate }, template, 120, seed)
+            .expect("valid workload");
+        let plan = FaultPlan::compile(&specs, 120, plan_seed).expect("strategy emits valid specs");
+        let config = ServerConfig {
+            capacity,
+            policy: AdmissionPolicy::QueuePredictor,
+            degrade: Some(DegradeConfig::default()),
+            buffer_slots: 4,
+            miss_slots: 2,
+        };
+        let recovery = recovery_on.then(RecoveryConfig::default);
+        let batch = ServerSim::new(config)
+            .expect("valid config")
+            .run_faulted(&workload, &plan, recovery.as_ref(), None)
+            .expect("runs");
+
+        let mut engine =
+            ServerEngine::with_faults(&config, template, 120, Some(&plan), recovery.as_ref())
+                .expect("valid engine");
+        for &req in &workload.sessions {
+            while engine.slot() < req.arrival_slot {
+                engine.step_slot(None);
+            }
+            engine.offer(req);
+        }
+        engine.drain(None);
+        let lockstep = engine.finish();
+        prop_assert_eq!(
+            lockstep.base.utility_sum.to_bits(),
+            batch.base.utility_sum.to_bits()
+        );
+        prop_assert_eq!(lockstep, batch);
     }
 }

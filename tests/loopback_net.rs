@@ -12,6 +12,7 @@ use std::thread;
 
 use dms_bench::net::{net_loopback_perf, soak_direct, soak_driver, soak_setup, SOAK_SEED};
 use dms_net::{run_loadgen, serve_connection, NetConnection};
+use dms_serve::ServerSim;
 
 /// One full socket soak; returns the server-side run-log.
 fn socket_soak(seed: u64) -> String {
@@ -35,7 +36,7 @@ fn socket_soak(seed: u64) -> String {
 
 #[test]
 fn ten_thousand_sessions_over_sockets_match_direct_injection() {
-    let (_, workload) = soak_setup(SOAK_SEED);
+    let (config, workload) = soak_setup(SOAK_SEED);
     assert!(
         workload.sessions.len() >= 10_000,
         "soak trace must carry >= 10^4 sessions, got {}",
@@ -45,6 +46,22 @@ fn ten_thousand_sessions_over_sockets_match_direct_injection() {
     let (direct_log, direct_report) = soak_direct(SOAK_SEED);
     // Both verdicts must actually occur, or the comparison is hollow.
     assert!(direct_report.admitted > 0 && direct_report.rejected > 0);
+
+    // The lockstep driver makes the batch server's decisions on the
+    // same trace, not only the socket path's.
+    let batch = ServerSim::new(config)
+        .expect("valid config")
+        .run(&workload)
+        .expect("runs");
+    assert_eq!(
+        (
+            direct_report.offered,
+            direct_report.admitted,
+            direct_report.rejected
+        ),
+        (batch.offered, batch.admitted, batch.rejected),
+        "direct-arm verdicts diverged from ServerSim::run"
+    );
 
     // The DMS_THREADS axis: the env var is process-global, so the two
     // settings run sequentially in this one test rather than as
