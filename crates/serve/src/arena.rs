@@ -21,12 +21,14 @@
 //! once-per-slot [`SessionArena::compact`] moves the live entries down
 //! over the dead ones, so k same-slot departures cost O(k log n + n)
 //! rather than the seed engine's O(k·n) `retain` scans.
+//! Retries re-offer under the workload id (`ids`), so no entry points
+//! back into the engine's offer queue.
 
 /// One crash victim's fields, copied out before its entry is dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Victim {
-    /// Index into the engine's offer ledger, for scheduling a retry.
-    pub idx: usize,
+    /// Workload session id, which a retry re-offers under.
+    pub id: u64,
     /// Slot the crashed activation would have departed at.
     pub depart_slot: u64,
     /// Retry attempts consumed to reach the crashed activation.
@@ -43,8 +45,6 @@ pub(crate) struct SessionArena {
     pub ids: Vec<u64>,
     /// Activation id, unique per (re)admission; strictly increasing.
     pub acts: Vec<u64>,
-    /// Index into the engine's offer ledger, for scheduling retries.
-    pub idxs: Vec<usize>,
     /// Slot this activation departs at.
     pub depart_slots: Vec<u64>,
     /// Consecutive deadline-missed slots (playout-timeout trigger).
@@ -65,7 +65,6 @@ impl SessionArena {
         SessionArena {
             ids: Vec::with_capacity(capacity),
             acts: Vec::with_capacity(capacity),
-            idxs: Vec::with_capacity(capacity),
             depart_slots: Vec::with_capacity(capacity),
             misses: Vec::with_capacity(capacity),
             attempts: Vec::with_capacity(capacity),
@@ -88,14 +87,13 @@ impl SessionArena {
 
     /// Admits a session at the end of admission order. `act` must
     /// exceed every activation id inserted before it.
-    pub fn insert(&mut self, id: u64, act: u64, idx: usize, depart_slot: u64, attempt: u32) {
+    pub fn insert(&mut self, id: u64, act: u64, depart_slot: u64, attempt: u32) {
         debug_assert!(
             self.acts.last().is_none_or(|&last| last < act),
             "activation ids must be strictly increasing"
         );
         self.ids.push(id);
         self.acts.push(act);
-        self.idxs.push(idx);
         self.depart_slots.push(depart_slot);
         self.misses.push(0);
         self.attempts.push(attempt);
@@ -146,7 +144,7 @@ impl SessionArena {
         for pos in cut..self.len() {
             if self.alive[pos] {
                 buf.push(Victim {
-                    idx: self.idxs[pos],
+                    id: self.ids[pos],
                     depart_slot: self.depart_slots[pos],
                     attempt: self.attempts[pos],
                     backlog: self.backlogs[pos],
@@ -177,7 +175,6 @@ impl SessionArena {
             }
             self.ids.copy_within(start..r, w);
             self.acts.copy_within(start..r, w);
-            self.idxs.copy_within(start..r, w);
             self.depart_slots.copy_within(start..r, w);
             self.misses.copy_within(start..r, w);
             self.attempts.copy_within(start..r, w);
@@ -193,7 +190,6 @@ impl SessionArena {
     fn truncate(&mut self, len: usize) {
         self.ids.truncate(len);
         self.acts.truncate(len);
-        self.idxs.truncate(len);
         self.depart_slots.truncate(len);
         self.misses.truncate(len);
         self.attempts.truncate(len);
@@ -209,7 +205,7 @@ mod tests {
     fn arena_of(n: u64) -> SessionArena {
         let mut a = SessionArena::with_capacity(n as usize);
         for i in 0..n {
-            a.insert(10 + i, i, i as usize, 100 + i, 0);
+            a.insert(10 + i, i, 100 + i, 0);
         }
         a
     }
@@ -239,7 +235,7 @@ mod tests {
         assert_eq!(a.depart(1), None, "compacted act is a binary-search miss");
 
         // New admissions append behind the survivors.
-        a.insert(13, 3, 3, 9, 1);
+        a.insert(13, 3, 9, 1);
         assert_eq!(a.acts, vec![0, 2, 3]);
         assert_eq!(a.backlogs[2], 0, "fresh entry state starts empty");
         assert_eq!(a.attempts[2], 1);
@@ -257,7 +253,6 @@ mod tests {
         assert_eq!(a.acts, vec![1, 3, 4, 5]);
         // act 4 moved from position 4 to 2, carrying every column.
         assert_eq!(a.ids[2], 14);
-        assert_eq!(a.idxs[2], 4);
         assert_eq!(a.depart_slots[2], 104);
         assert_eq!(a.attempts[2], 2);
         assert_eq!(a.misses[2], 3);
@@ -281,7 +276,7 @@ mod tests {
         let mut buf = Vec::new();
         a.take_newest(1, &mut buf);
         assert_eq!(buf.len(), 1);
-        a.insert(20, 4, 4, 9, 1);
+        a.insert(20, 4, 9, 1);
         assert_eq!(a.depart(3), None, "crashed act must not match");
         assert_eq!(a.live(), 3);
         assert_eq!(a.acts, vec![0, 2, 4]);
@@ -305,13 +300,13 @@ mod tests {
             buf,
             vec![
                 Victim {
-                    idx: 1,
+                    id: 11,
                     depart_slot: 101,
                     attempt: 0,
                     backlog: 100,
                 },
                 Victim {
-                    idx: 3,
+                    id: 13,
                     depart_slot: 103,
                     attempt: 2,
                     backlog: 300,
@@ -332,6 +327,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn non_increasing_act_trips_debug_assert() {
         let mut a = arena_of(2);
-        a.insert(30, 1, 0, 9, 0);
+        a.insert(30, 1, 9, 0);
     }
 }

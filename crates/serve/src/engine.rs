@@ -2,16 +2,16 @@
 //! [`ServerSim`](crate::ServerSim) runner, exposed as a stepper.
 //!
 //! [`ServerEngine`] is the *offer-source seam*: synthetic workloads
-//! ([`ServerSim::run`](crate::ServerSim::run) offers every
-//! [`SessionRequest`] up front) and socket-delivered offers (`dms-net`'s
-//! lockstep driver offers each one as its frame arrives) feed the exact
-//! same admission/multiplexing/recovery code path through
-//! [`ServerEngine::offer`] + [`ServerEngine::step_slot`].
+//! ([`ServerSim::run`](crate::ServerSim::run) offers each slot's
+//! [`SessionRequest`]s just before stepping it) and socket-delivered
+//! offers (`dms-net`'s lockstep driver offers each one as its frame
+//! arrives) feed the exact same admission/multiplexing/recovery code
+//! path through [`ServerEngine::offer`] + [`ServerEngine::step_slot`].
 //!
-//! Offers are not events. The engine keeps one ledger of every offer,
-//! slot-ordered by construction ([`ServerEngine::offer`] never lets a
-//! stamp go backwards), and a cursor into it: each slot first decides
-//! the ledger entries whose slot has come, in ledger order, and only
+//! Offers are not events. The engine queues the offers it has not
+//! decided yet, slot-ordered by construction ([`ServerEngine::offer`]
+//! never lets a stamp go backwards): each slot first pops and decides
+//! the queued offers whose slot has come, in queue order, and only
 //! then drains the timing wheel, which carries the dynamic events —
 //! departures and retries — alone. Same-slot arrivals therefore
 //! precede same-slot departures and retries under any injection
@@ -19,6 +19,10 @@
 //! "offer each slot just before stepping it" make identical decisions.
 //! That is the order the seed `run_core` loop used, pinned by the
 //! `ReferenceServerSim` differential proptests and the golden run-logs.
+//!
+//! A decided offer is dropped: retries and crash victims carry the
+//! session id, so a lockstep run holds one slot's offers plus the live
+//! set, however long it runs.
 //!
 //! The engine advances one slot per [`ServerEngine::step_slot`] call
 //! and never looks at a wall clock: whoever drives it (a `for` loop or
@@ -35,6 +39,8 @@
 //! utility curve is evaluated only when the delivered bit count
 //! changes from one session to the next.
 
+use std::collections::VecDeque;
+
 use dms_sim::{EventQueue, FaultEvent, FaultPlan, ScheduledFault, SimTime};
 
 use crate::admission::{AdmissionController, AdmissionMemo};
@@ -47,7 +53,7 @@ use crate::session::{ServerConfig, ServerReport};
 use crate::workload::{SessionRequest, SessionTemplate};
 
 /// Event payload of the server's slotted event loop. Only dynamic
-/// events live on the wheel; arrivals are the offer ledger itself.
+/// events live on the wheel; arrivals wait in the offer queue.
 #[derive(Debug, Clone, Copy)]
 enum ServerEvent {
     /// Activation to deactivate. Activation ids are strictly increasing
@@ -57,8 +63,8 @@ enum ServerEvent {
     Depart { act: u64 },
     /// A crashed or timed-out session re-offering itself after backoff.
     Retry {
-        /// Index into the engine's offer ledger.
-        idx: usize,
+        /// Workload session id.
+        id: u64,
         /// Retry attempts consumed before this one fires.
         attempt: u32,
         /// Service slots the session still wants.
@@ -94,12 +100,11 @@ pub struct ServerEngine {
     queue: EventQueue<ServerEvent>,
     arena: SessionArena,
 
-    /// Every offer ever injected, stamped with the slot it lands on;
-    /// the stamps never decrease, so the ledger is the arrival queue.
-    /// Retries address offers by index, so the ledger only grows.
-    sessions: Vec<SessionRequest>,
-    /// Ledger position of the first offer not yet decided.
-    next_arrival: usize,
+    /// Offers not yet decided, stamped with the slot they land on;
+    /// the stamps never decrease, so the front is the next arrival.
+    pending: VecDeque<SessionRequest>,
+    /// Offers injected so far, decided or not.
+    offered: u64,
 
     // Per-slot scratch hoisted out of the loop.
     due: Vec<ServerEvent>,
@@ -183,8 +188,8 @@ impl ServerEngine {
             memo: AdmissionMemo::new(),
             queue: EventQueue::with_capacity(1024),
             arena: SessionArena::with_capacity(1024),
-            sessions: Vec::new(),
-            next_arrival: 0,
+            pending: VecDeque::new(),
+            offered: 0,
             due: Vec::new(),
             grants: Vec::new(),
             sorted: Vec::new(),
@@ -203,9 +208,9 @@ impl ServerEngine {
         })
     }
 
-    /// Pre-sizes the offer ledger (purely an allocation hint).
+    /// Pre-sizes the offer queue (purely an allocation hint).
     pub fn reserve(&mut self, additional: usize) {
-        self.sessions.reserve(additional);
+        self.pending.reserve(additional);
     }
 
     /// Injects one offer. It lands on slot
@@ -215,24 +220,26 @@ impl ServerEngine {
     ///   next unstepped slot — the socket driver's "late frame lands
     ///   now" rule;
     /// * an offer stamped before the previous offer is decided at the
-    ///   previous offer's slot, so the ledger stays slot-ordered.
+    ///   previous offer's slot, so the queue stays slot-ordered.
     ///
     /// Offers within one slot keep injection order (FIFO) and are all
     /// decided before that slot's departures and retries, whenever
-    /// they were injected — a batch run that offers everything up front
+    /// they were injected — a caller that offers everything up front
     /// and a lockstep driver that offers each slot just before stepping
     /// it make the same decisions. An admitted offer with a zero
     /// `duration_slots` (reachable from the wire) departs in its
     /// admission slot, before that slot's service.
     pub fn offer(&mut self, request: SessionRequest) {
+        // Decided offers all landed before `slot()`.
         let floor = self
-            .sessions
-            .last()
+            .pending
+            .back()
             .map_or(self.slot, |prev| prev.arrival_slot.max(self.slot));
-        self.sessions.push(SessionRequest {
+        self.pending.push_back(SessionRequest {
             arrival_slot: request.arrival_slot.max(floor),
             ..request
         });
+        self.offered += 1;
     }
 
     /// Next slot [`ServerEngine::step_slot`] will simulate (slots
@@ -251,7 +258,7 @@ impl ServerEngine {
     /// Offers injected so far.
     #[must_use]
     pub fn offered(&self) -> u64 {
-        self.sessions.len() as u64
+        self.offered
     }
 
     /// First offers admitted so far.
@@ -270,10 +277,10 @@ impl ServerEngine {
     /// sessions a shutdown drains without a verdict. The driver's
     /// conservation assertion is
     /// `admitted + rejected + undecided == offered` at every step
-    /// boundary.
+    /// boundary (`offered` is counted apart from the queue).
     #[must_use]
     pub fn undecided(&self) -> u64 {
-        (self.sessions.len() - self.next_arrival) as u64
+        self.pending.len() as u64
     }
 
     /// Total bits delivered so far (for per-slot `Data` telemetry).
@@ -345,7 +352,7 @@ impl ServerEngine {
                         self.report.crashed += 1;
                         self.report.lost_to_fault_bits += victim.backlog;
                         let remaining = victim.depart_slot.saturating_sub(slot);
-                        self.retry(slot, victim.idx, victim.attempt, remaining);
+                        self.retry(slot, victim.id, victim.attempt, remaining);
                     }
                     self.crash_buf = crashed;
                 }
@@ -356,16 +363,10 @@ impl ServerEngine {
             self.fault_cursor += 1;
         }
 
-        // 2. Decide this slot's arrivals: the ledger entries whose
-        //    slot has come, in ledger order, ahead of every departure
+        // 2. Decide this slot's arrivals: the queued offers whose
+        //    slot has come, in queue order, ahead of every departure
         //    and retry due this slot — whenever they were injected.
-        while let Some(&req) = self
-            .sessions
-            .get(self.next_arrival)
-            .filter(|r| r.arrival_slot <= slot)
-        {
-            let idx = self.next_arrival;
-            self.next_arrival += 1;
+        while let Some(req) = self.pending.pop_front_if(|r| r.arrival_slot <= slot) {
             let admitted = if slot < self.warmup_slots {
                 // Warm-up gate: the shard exists but is not ready to
                 // serve; the rejection is recorded so
@@ -380,7 +381,7 @@ impl ServerEngine {
                 v.push((req.id, admitted));
             }
             if admitted {
-                self.activate(idx, slot, req.duration_slots, 0);
+                self.activate(req.id, slot, req.duration_slots, 0);
             }
         }
 
@@ -401,7 +402,7 @@ impl ServerEngine {
                     }
                 }
                 ServerEvent::Retry {
-                    idx,
+                    id,
                     attempt,
                     remaining,
                 } => {
@@ -414,10 +415,10 @@ impl ServerEngine {
                             .would_admit(&self.admission, self.arena.live() as u64)
                     {
                         self.report.readmitted += 1;
-                        self.activate(idx, slot, remaining, attempt + 1);
+                        self.activate(id, slot, remaining, attempt + 1);
                     } else {
                         self.report.retry_rejected += 1;
-                        self.retry(slot, idx, attempt + 1, remaining);
+                        self.retry(slot, id, attempt + 1, remaining);
                     }
                 }
             }
@@ -574,7 +575,7 @@ impl ServerEngine {
                     backlog_after -= self.arena.backlogs[p];
                     self.report.lost_to_fault_bits += self.arena.backlogs[p];
                     let remaining = self.arena.depart_slots[p].saturating_sub(slot + 1);
-                    self.retry(slot, self.arena.idxs[p], self.arena.attempts[p], remaining);
+                    self.retry(slot, self.arena.ids[p], self.arena.attempts[p], remaining);
                     self.arena.kill(p);
                 }
             }
@@ -624,33 +625,32 @@ impl ServerEngine {
         true
     }
 
-    /// Admits ledger entry `idx` at `slot` for `hold` slots of service
-    /// as its `attempt`-th activation and schedules its departure.
-    fn activate(&mut self, idx: usize, slot: u64, hold: u64, attempt: u32) {
+    /// Admits session `id` at `slot` for `hold` slots of service as
+    /// its `attempt`-th activation and schedules its departure.
+    fn activate(&mut self, id: u64, slot: u64, hold: u64, attempt: u32) {
         let act = self.next_act;
         self.next_act += 1;
         // Saturating: a hostile `duration_slots` near `u64::MAX`
         // departs "never", not in the past.
         let depart_slot = slot.saturating_add(hold);
-        self.arena
-            .insert(self.sessions[idx].id, act, idx, depart_slot, attempt);
+        self.arena.insert(id, act, depart_slot, attempt);
         self.queue.schedule(
             SimTime::from_ticks(depart_slot),
             ServerEvent::Depart { act },
         );
     }
 
-    /// Schedules retry `attempt` of ledger entry `idx` one backoff
-    /// after `slot`, when recovery is on, the session has `remaining`
+    /// Schedules retry `attempt` of session `id` one backoff after
+    /// `slot`, when recovery is on, the session has `remaining`
     /// service left and the retry budget is not spent.
-    fn retry(&mut self, slot: u64, idx: usize, attempt: u32, remaining: u64) {
+    fn retry(&mut self, slot: u64, id: u64, attempt: u32, remaining: u64) {
         let Some(rec) = self.recovery else { return };
         if attempt < rec.max_retries && remaining > 0 {
             self.report.retries += 1;
             self.queue.schedule(
                 SimTime::from_ticks(slot.saturating_add(rec.backoff_slots(attempt))),
                 ServerEvent::Retry {
-                    idx,
+                    id,
                     attempt,
                     remaining,
                 },
@@ -671,7 +671,7 @@ impl ServerEngine {
     #[must_use]
     pub fn finish(mut self) -> FaultReport {
         self.report.base = ServerReport {
-            offered: self.sessions.len() as u64,
+            offered: self.offered,
             admitted: self.admission.admitted(),
             rejected: self.admission.rejected(),
             slots: self.slot,
@@ -693,6 +693,7 @@ mod tests {
     use crate::session::ServerSim;
     use crate::workload::{rate_for_load, ArrivalProcess, Workload};
     use crate::CapacityModel;
+    use crate::RecoveryConfig;
 
     fn setup(load: f64, slots: u64, seed: u64) -> (ServerConfig, Workload) {
         let template = SessionTemplate::streaming_default().expect("preset valid");
@@ -714,19 +715,22 @@ mod tests {
     }
 
     /// The seam contract: injecting offers incrementally — interleaved
-    /// with stepping, exactly as the socket driver does — must be
-    /// bit-identical to the batch runner's inject-everything-up-front.
-    /// The overloaded 4000-slot input admits more sessions if lockstep
-    /// arrivals are decided after the slot's departures instead of
-    /// before them.
+    /// with stepping, exactly as the socket driver and `ServerSim::run`
+    /// do — must be bit-identical to injecting the whole trace before
+    /// the first step. The overloaded 4000-slot input admits more
+    /// sessions if lockstep arrivals are decided after the slot's
+    /// departures instead of before them.
     #[test]
     fn incremental_injection_matches_batch_run() {
         for (load, slots, seed) in [(1.2, 400, 21), (2.5, 4000, 23)] {
             let (cfg, workload) = setup(load, slots, seed);
-            let batch = ServerSim::new(cfg)
-                .expect("valid")
-                .run(&workload)
-                .expect("runs");
+            let mut engine =
+                ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
+            for req in &workload.sessions {
+                engine.offer(*req);
+            }
+            engine.drain(None);
+            let batch = engine.finish();
 
             let mut engine =
                 ServerEngine::new(&cfg, workload.template, workload.slots).expect("valid");
@@ -742,10 +746,72 @@ mod tests {
             engine.drain(None);
             let incremental = engine.finish();
             assert_eq!(
-                incremental.base, batch,
+                incremental, batch,
                 "seam must not perturb the run at load {load}, seed {seed}"
             );
         }
+    }
+
+    /// The engine keeps only undecided offers. Fed slot by slot over a
+    /// long overloaded run with crashes and retries, its queue never
+    /// holds an offer stamped before `slot()` after a step, nor more
+    /// than the busiest slot's batch before one, and the first-offer
+    /// ledger balances at every step boundary.
+    #[test]
+    fn lockstep_queue_holds_only_undecided_offers() {
+        use dms_sim::FaultSpec;
+
+        let (cfg, workload) = setup(1.5, 3000, 31);
+        let plan = FaultPlan::compile(
+            &[FaultSpec::CrashBurst {
+                slot: 1000,
+                fraction: 0.3,
+            }],
+            3000,
+            7,
+        )
+        .expect("valid plan");
+        let offers = workload.arrival_order();
+        let busiest = offers
+            .chunk_by(|a, b| a.arrival_slot == b.arrival_slot)
+            .map(<[_]>::len)
+            .max()
+            .expect("non-empty trace");
+        assert!(busiest * 100 < offers.len(), "trace spans many slots");
+
+        let mut engine = ServerEngine::with_faults(
+            &cfg,
+            workload.template,
+            workload.slots,
+            Some(&plan),
+            Some(&RecoveryConfig::default()),
+        )
+        .expect("valid");
+        let mut rest = &offers[..];
+        while engine.slot() < engine.horizon() {
+            let due = rest.partition_point(|r| r.arrival_slot <= engine.slot());
+            for &req in &rest[..due] {
+                engine.offer(req);
+            }
+            rest = &rest[due..];
+            assert!(engine.pending.len() <= busiest, "slot {}", engine.slot());
+            engine.step_slot(None);
+            assert!(
+                engine
+                    .pending
+                    .iter()
+                    .all(|r| r.arrival_slot >= engine.slot()),
+                "decided offer kept after slot {}",
+                engine.slot() - 1
+            );
+            assert_eq!(
+                engine.offered(),
+                engine.admitted() + engine.rejected() + engine.undecided()
+            );
+        }
+        let report = engine.finish();
+        assert_eq!(report.base.offered, offers.len() as u64);
+        assert!(report.crashed > 0 && report.readmitted > 0, "retries ran");
     }
 
     #[test]
@@ -791,7 +857,7 @@ mod tests {
     }
 
     /// An offer stamped before the previous offer is decided at the
-    /// previous offer's slot, behind it: the ledger stays slot-ordered.
+    /// previous offer's slot, behind it: the queue stays slot-ordered.
     #[test]
     fn offer_stamped_before_the_previous_lands_on_its_slot() {
         let (cfg, workload) = setup(0.5, 100, 3);
@@ -865,7 +931,7 @@ mod tests {
     /// reference exactly, field for field.
     #[test]
     fn contended_corrupted_slots_match_reference() {
-        use crate::{RecoveryConfig, ReferenceServerSim};
+        use crate::ReferenceServerSim;
         use dms_sim::FaultSpec;
 
         let (mut cfg, workload) = setup(1.6, 600, 11);

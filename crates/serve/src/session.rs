@@ -9,8 +9,8 @@
 //! [`crate::LayerController`] pick the slot's FGS layer cap, and then
 //! divides the link capacity over the active sessions with a max-min
 //! fair water-filling allocation. The loop itself lives in the
-//! incremental [`ServerEngine`]; this runner offers the whole workload
-//! in arrival order up front and steps the engine to the horizon.
+//! incremental [`ServerEngine`]; this runner offers each slot's
+//! arrivals just before stepping it.
 //!
 //! A session that falls further than the deadline allowance behind is
 //! charged a *deadline miss* for the slot (utility zero, stale bits
@@ -186,8 +186,9 @@ impl ServerSim {
     /// same-slot arrivals are decided in workload order and always
     /// ahead of same-slot departures and retries — admission is thus
     /// deliberately conservative at the slot edge. The engine keeps
-    /// that order however offers are injected, so `dms-net`'s lockstep
-    /// driver makes exactly these decisions for the same trace.
+    /// that order however offers are injected, so an engine given the
+    /// whole trace up front, or `dms-net`'s lockstep driver, makes
+    /// exactly these decisions for the same trace.
     ///
     /// # Errors
     ///
@@ -254,9 +255,10 @@ impl ServerSim {
     }
 
     /// The one slotted server loop every public runner delegates to —
-    /// a thin batch driver over the incremental [`ServerEngine`]:
-    /// offer every session in arrival order, step to the horizon,
-    /// finish. The engine is the offer-source seam shared with
+    /// a thin lockstep driver over the incremental [`ServerEngine`]:
+    /// offer each slot's arrivals just before stepping it, then any
+    /// stamped past the horizon (counted as offered, never decided),
+    /// and finish. The engine is the offer-source seam shared with
     /// `dms-net`'s socket driver, so synthetic and socket offers run
     /// the same admission/multiplexing/recovery code path; its slot
     /// loop is the seed implementation's (pinned against
@@ -276,12 +278,11 @@ impl ServerSim {
             faults,
             recovery,
         )?;
-        let offers = workload.arrival_order();
-        engine.reserve(offers.len());
-        for &req in offers.iter() {
+        for &req in workload.arrival_order().iter() {
+            while engine.slot() < req.arrival_slot && engine.step_slot(sink.as_deref_mut()) {}
             engine.offer(req);
         }
-        while engine.step_slot(sink.as_deref_mut()) {}
+        engine.drain(sink);
         Ok(engine.finish())
     }
 }

@@ -457,10 +457,11 @@ proptest! {
     /// The offer seam under faults: feeding a workload in the lockstep
     /// driver's order — each offer injected only once the engine has
     /// stepped up to its slot, after that slot's departures and
-    /// retries were scheduled — decides exactly what the batch runner
-    /// decides, every counter and the float bits of `utility_sum`
-    /// included. Short holding times keep departures in most slots, so
-    /// arrivals and departures share slot edges under overload.
+    /// retries were scheduled — decides exactly what an engine given
+    /// the whole trace before its first step decides, every counter
+    /// and the float bits of `utility_sum` included. Short holding
+    /// times keep departures in most slots, so arrivals and departures
+    /// share slot edges under overload.
     #[test]
     fn lockstep_injection_matches_batch_faulted(
         load in 0.2f64..3.0,
@@ -490,14 +491,18 @@ proptest! {
             miss_slots: 2,
         };
         let recovery = recovery_on.then(RecoveryConfig::default);
-        let batch = ServerSim::new(config)
-            .expect("valid config")
-            .run_faulted(&workload, &plan, recovery.as_ref(), None)
-            .expect("runs");
-
-        let mut engine =
+        let engine = || {
             ServerEngine::with_faults(&config, template, 120, Some(&plan), recovery.as_ref())
-                .expect("valid engine");
+                .expect("valid engine")
+        };
+        let mut batch_engine = engine();
+        for &req in &workload.sessions {
+            batch_engine.offer(req);
+        }
+        batch_engine.drain(None);
+        let batch = batch_engine.finish();
+
+        let mut engine = engine();
         for &req in &workload.sessions {
             while engine.slot() < req.arrival_slot {
                 engine.step_slot(None);

@@ -204,16 +204,6 @@ impl<E> EventQueue<E> {
         q
     }
 
-    /// Reserves room for at least `additional` more pending events.
-    ///
-    /// Kept for API compatibility with the heap-backed queue; the wheel
-    /// grows per-bucket, so this only pre-builds the first level.
-    pub fn reserve(&mut self, _additional: usize) {
-        if self.levels.is_empty() {
-            self.levels.push(Level::new());
-        }
-    }
-
     /// Wheel level for an event at tick `t` given the current cursor:
     /// the highest byte in which they differ (0 when equal).
     fn level_for(cursor: u64, t: u64) -> usize {
@@ -308,17 +298,18 @@ impl<E> EventQueue<E> {
                     self.cursor = high | ((idx as u64) << shift);
                     // Cascade the bucket down; every event re-hashes to
                     // a strictly lower level, preserving bucket order
-                    // (and therefore seq order) as it goes.
-                    let mut moved = {
+                    // (and therefore seq order) as it goes. The emptied
+                    // bucket's allocation is freed rather than kept for
+                    // the next rotation, so upper-level memory follows
+                    // the pending events, not the run length.
+                    let moved = {
                         let lvl = &mut self.levels[level];
                         lvl.unmark(idx);
                         std::mem::take(&mut lvl.buckets[idx])
                     };
-                    for e in moved.drain(..) {
+                    for e in moved {
                         self.place(e);
                     }
-                    // Hand the allocation back for the next rotation.
-                    self.levels[level].buckets[idx] = moved;
                     advanced = true;
                     break;
                 }
@@ -776,9 +767,33 @@ mod tests {
         eng.run_to_completion();
         assert_eq!(eng.model().seen, vec![(2, 9)]);
         let mut q: EventQueue<u32> = EventQueue::with_capacity(8);
-        q.reserve(100);
         q.schedule(SimTime::ZERO, 1);
         assert_eq!(q.len(), 1);
+    }
+
+    /// A long run with a steady pending population: after the cursor
+    /// has crossed 200 level-1 windows, the upper levels hold no more
+    /// allocation than their pending events need, not one window's
+    /// peak per bucket ever cascaded.
+    #[test]
+    fn cascaded_buckets_release_their_allocation() {
+        let mut q = EventQueue::new();
+        for t in 0..256 * 200u64 {
+            for k in 0..4 {
+                q.schedule(SimTime::from_ticks(t + 300 + k), t);
+            }
+            q.drain_ready(SimTime::from_ticks(t)).for_each(drop);
+        }
+        let retained: usize = q.levels[1..]
+            .iter()
+            .flat_map(|level| &level.buckets)
+            .map(Vec::capacity)
+            .sum();
+        assert!(
+            retained <= 2 * q.len() + 8,
+            "upper levels retain {retained} slots for {} pending events",
+            q.len()
+        );
     }
 
     #[test]
